@@ -65,27 +65,40 @@ def _write_manifest(outdir: str, command: str, params: dict, outputs: list,
     _io.write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _require_fp_flags(args) -> None:
-    if args.freeze_rate is None:
-        raise UsageError("--lambda is required when --policy fp")
-    if args.k is None:
-        raise UsageError("--k is required when --policy fp")
+def _flag_values(args) -> dict:
+    return {"policy": args.policy, "mu1": args.mu1, "mu2": args.mu2,
+            "lambda": args.freeze_rate, "k": args.k}
 
 
-def _params_from_args(args):
-    if args.policy == "zw":
-        return ZwParams(args.mu1, args.mu2)
-    _require_fp_flags(args)
-    return FpParams(args.mu1, args.mu2, args.freeze_rate, args.k)
+def _model_params(raw: dict, where: str):
+    """Model parameters from ``raw``'s policy, mu1, mu2, lambda and k.
+
+    ``where`` formats a field name for messages: a flag (``"--{}"``) or a
+    config field. A missing or non-numeric field is a usage error.
+    """
+    policy = raw.get("policy")
+    if policy not in (ZW, FP, FP_PREEMPT_ONLY):
+        raise UsageError(f"{where.format('policy')} must be one of "
+                         f"{ZW}/{FP}/{FP_PREEMPT_ONLY}")
+    values = []
+    for name in ("mu1", "mu2") + (("lambda", "k") if policy == FP else ()):
+        value = raw.get(name)
+        if value is None:
+            raise UsageError(f"{where.format(name)} is required for policy {policy}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"{where.format(name)} must be a number, got {value!r}")
+        values.append(value)
+    if policy == ZW:
+        return ZwParams(*values)
+    if policy == FP:
+        return FpParams(*values)
+    return preempt_only_params(*values)
 
 
 def cmd_analyze(args) -> int:
     started = time.time()
-    params = _params_from_args(args)
-    if args.policy == "zw":
-        chain = build_zw_amc(params)
-    else:
-        chain = build_fp_model(params)
+    params = _model_params(_flag_values(args), "--{}")
+    chain = build_zw_amc(params) if args.policy == ZW else build_fp_model(params)
     grid = GridSpec(points=args.grid_points, max_mult=args.grid_max)
     summary = summarize(chain, grid)
     outdir = _out_dir(args, "analyze")
@@ -116,38 +129,16 @@ def _sim_config_from_args(args) -> SimConfig:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        policy = raw.get("policy")
-        if policy not in (ZW, FP, FP_PREEMPT_ONLY):
-            raise UsageError(f"config field 'policy' must be one of {ZW}/{FP}/{FP_PREEMPT_ONLY}")
-        for key in ("mu1", "mu2"):
-            if key not in raw:
-                raise UsageError(f"config field '{key}' is required")
-        if policy == ZW:
-            params = ZwParams(raw["mu1"], raw["mu2"])
-        elif policy == FP:
-            for key in ("lambda", "k"):
-                if key not in raw:
-                    raise UsageError(f"config field '{key}' is required for policy fp")
-            params = FpParams(raw["mu1"], raw["mu2"], raw["lambda"], raw["k"])
-        else:
-            params = preempt_only_params(raw["mu1"], raw["mu2"])
-        return SimConfig(params, policy,
-                         horizon=raw.get("cycles", 1_000_000),
-                         warmup=raw.get("warmup"),
-                         seed=raw.get("seed", 0),
-                         replications=raw.get("reps", 2))
-    if args.mu1 is None or args.mu2 is None:
-        raise UsageError("--mu1 and --mu2 are required without --config")
-    if args.policy == ZW:
-        params = ZwParams(args.mu1, args.mu2)
-    elif args.policy == FP:
-        _require_fp_flags(args)
-        params = FpParams(args.mu1, args.mu2, args.freeze_rate, args.k)
+        where = "config field '{}'"
     else:
-        params = preempt_only_params(args.mu1, args.mu2)
-    return SimConfig(params, args.policy, horizon=args.cycles,
-                     warmup=args.warmup, seed=args.seed,
-                     replications=args.reps)
+        raw = {**_flag_values(args), "cycles": args.cycles,
+               "warmup": args.warmup, "seed": args.seed, "reps": args.reps}
+        where = "--{}"
+    return SimConfig(_model_params(raw, where), raw["policy"],
+                     horizon=raw.get("cycles", 1_000_000),
+                     warmup=raw.get("warmup"),
+                     seed=raw.get("seed", 0),
+                     replications=raw.get("reps", 2))
 
 
 def cmd_simulate(args) -> int:

@@ -30,10 +30,9 @@ from .phasetype import AbsorbingChain
 #: mean 1e-8 are negligible against any service time of interest.
 PREEMPT_ONLY_RATE = 1e8
 
-#: State families of the cycle chain that carry a freeze phase.
+#: State families of the cycle chain that carry a freeze phase; families
+#: 3, 5, 7, 9 and 14 are singletons (no freeze running).
 _AMC_PHASED = (1, 2, 4, 6, 8, 10, 11, 12, 13)
-#: Singleton states of the cycle chain (no freeze running).
-_AMC_SINGLE = (3, 5, 7, 9, 14)
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ class FpParams:
         object.__setattr__(self, "mu2", slow)
         object.__setattr__(self, "freeze_rate", float(self.freeze_rate))
 
-    def meta(self, policy: str = "fp") -> dict:
-        return {"policy": policy, "mu1": self.mu1, "mu2": self.mu2,
+    def meta(self) -> dict:
+        return {"policy": "fp", "mu1": self.mu1, "mu2": self.mu2,
                 "freeze_rate": self.freeze_rate, "k": self.k,
                 "swapped": self.swapped}
 
@@ -80,42 +79,31 @@ def preempt_only_params(mu1: float, mu2: float) -> FpParams:
     return FpParams(mu1, mu2, PREEMPT_ONLY_RATE, 1)
 
 
-class FpStateIndex:
-    """Bijection between symbolic cycle-chain states and dense indices.
+class _StateIndex:
+    """Bijection between symbolic chain states and dense indices.
 
-    Phased families are laid out as contiguous blocks in the order
-    (1,·), (2,·), 3, (4,·), 5, (6,·), 7, (8,·), 9, (10,·), (11,·),
-    (12,·), (13,·), 14, so the ``k * freeze_rate`` phase ladders appear
-    as superdiagonal runs in matrix dumps. Symbolic keys are ``(family,
-    phase)`` tuples for phased states and bare ints for singletons.
+    Families ``1..n_families`` are laid out in order; those in
+    ``phased`` carry a freeze phase and take a contiguous block of ``k``
+    indices keyed ``(family, phase)``, the others one index keyed by the
+    bare int.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, n_families: int, phased):
         if int(k) != k or k < 1:
             raise ValueError("Erlang order k must be a positive integer")
         self.k = int(k)
-        self._by_state = {}
-        pos = 0
-        for fam in (1, 2):
-            for ell in range(1, self.k + 1):
-                self._by_state[(fam, ell)] = pos
-                pos += 1
-        for single, fam in ((3, 4), (5, 6), (7, 8), (9, 10)):
-            self._by_state[single] = pos
-            pos += 1
-            for ell in range(1, self.k + 1):
-                self._by_state[(fam, ell)] = pos
-                pos += 1
-        for fam in (11, 12, 13):
-            for ell in range(1, self.k + 1):
-                self._by_state[(fam, ell)] = pos
-                pos += 1
-        self._by_state[14] = pos
-        self._by_index = {v: s for s, v in self._by_state.items()}
+        keys = []
+        for fam in range(1, n_families + 1):
+            if fam in phased:
+                keys.extend((fam, ell) for ell in range(1, self.k + 1))
+            else:
+                keys.append(fam)
+        self._by_state = {state: pos for pos, state in enumerate(keys)}
+        self._by_index = dict(enumerate(keys))
 
     @property
     def size(self) -> int:
-        return 9 * self.k + 5
+        return len(self._by_index)
 
     def index(self, state) -> int:
         return self._by_state[state]
@@ -128,47 +116,29 @@ class FpStateIndex:
 
     def as_dict(self) -> dict:
         """JSON-friendly map from symbolic labels to dense indices."""
-        out = {}
-        for state, idx in self._by_state.items():
-            label = f"{state[0]},{state[1]}" if isinstance(state, tuple) else str(state)
-            out[label] = idx
-        return out
+        return {f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s): idx
+                for s, idx in self._by_state.items()}
 
 
-class RmcStateIndex:
+class FpStateIndex(_StateIndex):
+    """Index map of the cycle chain, ``9k + 5`` states.
+
+    Phased families are laid out as contiguous blocks in the order
+    (1,·), (2,·), 3, (4,·), 5, (6,·), 7, (8,·), 9, (10,·), (11,·),
+    (12,·), (13,·), 14, so the ``k * freeze_rate`` phase ladders appear
+    as superdiagonal runs in matrix dumps.
+    """
+
+    def __init__(self, k: int):
+        super().__init__(k, 14, _AMC_PHASED)
+
+
+class RmcStateIndex(_StateIndex):
     """Index map of the recurrent chain: families (1..5, phase), then the
     two unfrozen states 6 and 7."""
 
     def __init__(self, k: int):
-        if int(k) != k or k < 1:
-            raise ValueError("Erlang order k must be a positive integer")
-        self.k = int(k)
-        self._by_state = {}
-        pos = 0
-        for fam in range(1, 6):
-            for ell in range(1, self.k + 1):
-                self._by_state[(fam, ell)] = pos
-                pos += 1
-        self._by_state[6] = pos
-        self._by_state[7] = pos + 1
-        self._by_index = {v: s for s, v in self._by_state.items()}
-
-    @property
-    def size(self) -> int:
-        return 5 * self.k + 2
-
-    def index(self, state) -> int:
-        return self._by_state[state]
-
-    def state(self, index: int):
-        return self._by_index[index]
-
-    def as_dict(self) -> dict:
-        out = {}
-        for state, idx in self._by_state.items():
-            label = f"{state[0]},{state[1]}" if isinstance(state, tuple) else str(state)
-            out[label] = idx
-        return out
+        super().__init__(k, 7, range(1, 6))
 
 
 def fp_aoi_mask(k: int) -> np.ndarray:

@@ -3,23 +3,23 @@
 The peak age of a cycle is the chain's absorption time conditioned on
 ending in the successful column; the stationary age density is the
 (normalized) probability of occupying an age-overlap state at elapsed
-time ``x``. Both laws share the same matrix-exponential kernel and
-differ only in the weighting vector: the successful absorption rates for
-peak age, the age-overlap mask for age. All conditioning follows the
-defining ratios directly; no renormalized sub-chain is built.
+time ``x``. Both are the matrix-exponential law of ``phasetype`` that
+also serves plain phase-type variables, and differ only in the weighting
+vector: the successful absorption rates for peak age, the age-overlap
+mask for age. All conditioning follows the defining ratios directly; no
+renormalized sub-chain is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from . import _io
-from .phasetype import AbsorbingChain, absorption_probability, expm_action, expm_action_grid
+from .phasetype import AbsorbingChain, _Law, absorption_probability, expm_action_grid
 
 
 @dataclass(frozen=True)
@@ -126,132 +126,66 @@ class AoiSummary:
 
 
 # ---------------------------------------------------------------------------
-# conditional evaluation against a weighting vector
+# conditional laws: one matrix-exponential law per weighting vector
 # ---------------------------------------------------------------------------
 
-def _weights(chain: AbsorbingChain, kind: str) -> np.ndarray:
+def _law(chain: AbsorbingChain, kind: str) -> _Law:
     if kind == "paoi":
-        return chain.V[:, chain.success_col]
-    if kind == "aoi":
-        return chain.aoi_mask
-    raise ValueError(f"unknown distribution kind {kind!r}")
-
-
-def _norm(chain: AbsorbingChain, w: np.ndarray):
-    """Return (y, denom) with ``y = S^{-1} w`` and ``denom = -init @ y``."""
-    init = chain.require_init()
-    y = chain.solve_right(w)
-    denom = float(-(init @ y))
-    if denom <= 0:
-        raise ValueError("conditioning weight has zero mass under init")
-    return y, denom
-
-
-def _pdf(chain: AbsorbingChain, x, kind: str):
-    w = _weights(chain, kind)
-    _, denom = _norm(chain, w)
-    init = chain.require_init()
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("time arguments must be nonnegative")
-    if arr.ndim == 0:
-        return float(expm_action(chain.S, float(arr), init) @ w) / denom
-    order = np.argsort(arr, kind="stable")
-    u = expm_action_grid(chain.S, arr[order], init)
-    vals = (u @ w) / denom
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
-
-
-def _cdf(chain: AbsorbingChain, x, kind: str):
-    w = _weights(chain, kind)
-    y, denom = _norm(chain, w)
-    init = chain.require_init()
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("time arguments must be nonnegative")
-    if arr.ndim == 0:
-        u = expm_action(chain.S, float(arr), init)
-        return float((u - init) @ y) / denom
-    order = np.argsort(arr, kind="stable")
-    u = expm_action_grid(chain.S, arr[order], init)
-    vals = ((u - init) @ y) / denom
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
-
-
-def _moment(chain: AbsorbingChain, i: int, kind: str) -> float:
-    if int(i) != i or i < 1:
-        raise ValueError("moment order must be a positive integer")
-    i = int(i)
-    w = _weights(chain, kind)
-    y, denom = _norm(chain, w)
-    init = chain.require_init()
-    vec = y
-    for _ in range(i):
-        vec = chain.solve_right(vec)
-    sign = 1.0 if (i + 1) % 2 == 0 else -1.0
-    return sign * factorial(i) * float(init @ vec) / denom
+        w = chain.V[:, chain.success_col]
+    elif kind == "aoi":
+        w = chain.aoi_mask
+    else:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    return _Law(chain.S, chain.require_init(), w, chain.solve_right)
 
 
 def paoi_pdf(chain: AbsorbingChain, x):
     """Peak-age density ``init expm(Sx) V_s / (-init S^{-1} V_s)``."""
-    return _pdf(chain, x, "paoi")
+    return _law(chain, "paoi").at(x)[0]
 
 
 def paoi_cdf(chain: AbsorbingChain, x):
     """Peak-age cdf ``init (expm(Sx) - I) S^{-1} V_s / (-init S^{-1} V_s)``."""
-    return _cdf(chain, x, "paoi")
+    return _law(chain, "paoi").at(x)[1]
 
 
 def paoi_mean(chain: AbsorbingChain) -> float:
     """Mean peak age ``init S^{-2} V_s / (-init S^{-1} V_s)``."""
-    return _moment(chain, 1, "paoi")
+    return _law(chain, "paoi").moment(1)
 
 
 def paoi_moment(chain: AbsorbingChain, i: int) -> float:
     """``i``-th non-central moment of the peak age."""
-    return _moment(chain, i, "paoi")
+    return _law(chain, "paoi").moment(i)
 
 
 def aoi_pdf(chain: AbsorbingChain, x):
     """Stationary age density ``init expm(Sx) mask / (-init S^{-1} mask)``."""
-    return _pdf(chain, x, "aoi")
+    return _law(chain, "aoi").at(x)[0]
 
 
 def aoi_cdf(chain: AbsorbingChain, x):
     """Stationary age cdf, the integral of :func:`aoi_pdf`."""
-    return _cdf(chain, x, "aoi")
+    return _law(chain, "aoi").at(x)[1]
 
 
 def aoi_mean(chain: AbsorbingChain) -> float:
     """Mean age ``init S^{-2} mask / (-init S^{-1} mask)``."""
-    return _moment(chain, 1, "aoi")
+    return _law(chain, "aoi").moment(1)
 
 
 def aoi_moment(chain: AbsorbingChain, i: int) -> float:
     """``i``-th non-central moment of the stationary age."""
-    return _moment(chain, i, "aoi")
+    return _law(chain, "aoi").moment(i)
 
 
 def _table(chain: AbsorbingChain, kind: str, grid_spec: GridSpec,
            meta: dict) -> tuple:
-    w = _weights(chain, kind)
-    y, denom = _norm(chain, w)
-    init = chain.require_init()
-    moments = []
-    vec = y
-    for i in range(1, 4):
-        vec = chain.solve_right(vec)
-        sign = 1.0 if (i + 1) % 2 == 0 else -1.0
-        moments.append(sign * factorial(i) * float(init @ vec) / denom)
+    law = _law(chain, kind)
+    moments = law.moments(3)
     mean, m2 = moments[0], moments[1]
     grid = grid_spec.build(mean)
-    u = expm_action_grid(chain.S, grid, init)
-    pdf = (u @ w) / denom
-    cdf = ((u - init) @ y) / denom
+    pdf, cdf = law.pdf_cdf(expm_action_grid(chain.S, grid, law.init))
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
     table = DistributionTable(grid, pdf, cdf, mean, m2, m2 - mean * mean,
                               meta=meta)

@@ -61,7 +61,9 @@ def golden_section_min(objective, lo: float, hi: float, tol: float = 0.0,
 
     Returns
     -------
-    (argmin, min_value) : tuple of float
+    (argmin, min_value, evaluations) : tuple of (float, float, int)
+        The best point, its objective value, and the number of objective
+        calls made.
 
     Raises
     ------

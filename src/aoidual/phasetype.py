@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, exp, sqrt
+from math import ceil, exp, factorial, log2, sqrt
 from types import MappingProxyType
 from typing import Mapping
 
@@ -132,9 +132,9 @@ class PhaseType:
         """Return ``S^{-1} b`` for a column vector ``b``."""
         return lu_solve(self._lu, b)
 
-    def solve_left(self, v: np.ndarray) -> np.ndarray:
-        """Return ``v S^{-1}`` for a row vector ``v``."""
-        return lu_solve(self._lu, v, trans=1)
+    @cached_property
+    def _law(self) -> "_Law":
+        return _Law(self.S, self.sigma, self.nu, self.solve_right, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +291,6 @@ def _advance(v: np.ndarray, P: np.ndarray, mass: float) -> np.ndarray:
         for _ in range(nsub):
             out = _step(out, P, mass / nsub)
         return out
-    from math import log2
-
     s = int(ceil(log2(mass / _MAX_STEP_MASS)))
     E = _step(np.eye(P.shape[0]), P, mass / 2.0 ** s)
     for _ in range(s):
@@ -324,19 +322,9 @@ def expm_action(S, x: float, v) -> np.ndarray:
     numpy.ndarray
         ``v @ expm(S x)``.
     """
-    S = np.asarray(S, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("S must be square")
-    if v.shape != (S.shape[0],):
-        raise ValueError(f"v has shape {v.shape}, expected ({S.shape[0]},)")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    P, rate = _uniformized(S)
-    mass = rate * x
-    if mass == 0.0:
-        return v.copy()
-    return _advance(v.copy(), P, mass)
+    return expm_action_grid(S, [x], v)[0]
 
 
 def expm_action_grid(S, xs, v) -> np.ndarray:
@@ -350,6 +338,10 @@ def expm_action_grid(S, xs, v) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     v = np.asarray(v, dtype=float)
     xs = np.asarray(xs, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError("S must be square")
+    if v.shape != (S.shape[0],):
+        raise ValueError(f"v has shape {v.shape}, expected ({S.shape[0]},)")
     if xs.ndim != 1:
         raise ValueError("xs must be one-dimensional")
     if np.any(xs < 0):
@@ -373,57 +365,73 @@ def expm_action_grid(S, xs, v) -> np.ndarray:
 # distribution evaluation
 # ---------------------------------------------------------------------------
 
-def _validate_times(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("time arguments must be nonnegative")
-    return arr
+class _Law:
+    """The matrix-exponential law with density ``init expm(S x) w / denom``.
+
+    With ``y = S^{-1} w`` its cdf is ``init (expm(S x) - I) y / denom``
+    and its ``i``-th non-central moment is
+    ``(-1)^{i+1} i! init S^{-i} y / denom``. A phase-type is the case
+    ``w = nu``, ``denom = 1``; age and peak age of a cycle chain weight by
+    the age mask or the success column, and by default ``denom`` is
+    ``-init y``, the mass of the weight under ``init``.
+    """
+
+    def __init__(self, S, init, w, solve_right, denom=None):
+        self.S, self.init, self.w, self.solve_right = S, init, w, solve_right
+        self.y = solve_right(w)
+        if denom is None:
+            denom = float(-(init @ self.y))
+            if denom <= 0:
+                raise ValueError("conditioning weight has zero mass under init")
+        self.denom = denom
+
+    def pdf_cdf(self, u):
+        """Density and cdf from the action ``u = init expm(S x)``."""
+        return (u @ self.w) / self.denom, ((u - self.init) @ self.y) / self.denom
+
+    def at(self, x):
+        """``(pdf, cdf)`` at a scalar or an unsorted array of times."""
+        arr = np.asarray(x, dtype=float)
+        if np.any(arr < 0):
+            raise ValueError("time arguments must be nonnegative")
+        xs = arr.reshape(1) if arr.ndim == 0 else arr
+        order = np.argsort(xs, kind="stable")
+        u = expm_action_grid(self.S, xs[order], self.init)
+        if arr.ndim == 0:
+            return tuple(float(val) for val in self.pdf_cdf(u[0]))
+        vals = np.empty((2, order.size))
+        vals[:, order] = self.pdf_cdf(u)
+        return vals[0], vals[1]
+
+    def moments(self, count: int) -> list:
+        """The first ``count`` moments, by repeated right solves against
+        the cached LU factors; the inverse is never formed."""
+        out, vec = [], self.y
+        for i in range(1, count + 1):
+            vec = self.solve_right(vec)
+            sign = 1.0 if i % 2 else -1.0
+            out.append(sign * factorial(i) * float(self.init @ vec) / self.denom)
+        return out
+
+    def moment(self, i: int) -> float:
+        if int(i) != i or i < 1:
+            raise ValueError("moment order must be a positive integer")
+        return self.moments(int(i))[-1]
 
 
 def ph_pdf(ph: PhaseType, x):
     """Density ``sigma @ expm(S x) @ nu`` at ``x`` (scalar or array)."""
-    arr = _validate_times(x)
-    nu = ph.nu
-    if arr.ndim == 0:
-        return float(expm_action(ph.S, float(arr), ph.sigma) @ nu)
-    order = np.argsort(arr, kind="stable")
-    vals = expm_action_grid(ph.S, arr[order], ph.sigma) @ nu
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
+    return ph._law.at(x)[0]
 
 
 def ph_cdf(ph: PhaseType, x):
     """Cumulative distribution ``sigma (expm(S x) - I) S^{-1} nu``."""
-    arr = _validate_times(x)
-    w = ph.solve_right(ph.nu)  # equals -1 exactly when rows are exact
-    if arr.ndim == 0:
-        u = expm_action(ph.S, float(arr), ph.sigma)
-        return float((u - ph.sigma) @ w)
-    order = np.argsort(arr, kind="stable")
-    u = expm_action_grid(ph.S, arr[order], ph.sigma)
-    vals = (u - ph.sigma) @ w
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
+    return ph._law.at(x)[1]
 
 
 def ph_moment(ph: PhaseType, i: int) -> float:
-    """``i``-th non-central moment, ``(-1)^{i+1} i! sigma S^{-(i+1)} nu``.
-
-    Computed by repeated left solves against the cached LU factors; the
-    inverse is never formed.
-    """
-    if int(i) != i or i < 1:
-        raise ValueError("moment order must be a positive integer")
-    i = int(i)
-    row = ph.sigma
-    for _ in range(i + 1):
-        row = ph.solve_left(row)
-    sign = 1.0 if (i + 1) % 2 == 0 else -1.0
-    from math import factorial
-
-    return float(sign * factorial(i) * (row @ ph.nu))
+    """``i``-th non-central moment, ``(-1)^{i+1} i! sigma S^{-(i+1)} nu``."""
+    return ph._law.moment(i)
 
 
 def absorption_probability(chain: AbsorbingChain, m: int) -> float:

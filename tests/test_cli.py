@@ -52,6 +52,17 @@ class TestAnalyze:
         assert code == 2
         assert "--lambda" in capsys.readouterr().err
 
+    def test_missing_rates_exit_two(self, tmp_path, capsys):
+        code = run(["analyze", "--policy", "zw", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--mu1" in capsys.readouterr().err
+
+    def test_fp_missing_mu2_exits_two(self, tmp_path, capsys):
+        code = run(["analyze", "--policy", "fp", "--mu1", "0.5", "--lambda",
+                    "1", "--k", "10", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--mu2" in capsys.readouterr().err
+
     def test_invalid_rate_exits_two(self, tmp_path):
         assert run(["analyze", "--policy", "zw", "--mu1", "-1", "--mu2", "1",
                     "--out", str(tmp_path / "x")]) == 2
@@ -107,6 +118,14 @@ class TestSimulate:
                                         "mu2": 0.1, "cycles": 5000}))
         assert run(["simulate", "--config", str(cfg_path),
                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_config_non_numeric_rate_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": "zw", "mu1": "fast",
+                                        "mu2": 0.1, "cycles": 5000}))
+        assert run(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "'mu1'" in capsys.readouterr().err
 
     def test_flags_require_rates(self, tmp_path):
         assert run(["simulate", "--policy", "zw", "--cycles", "5000",

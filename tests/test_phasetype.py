@@ -8,12 +8,19 @@ import scipy.linalg
 
 from aoidual import (
     AbsorbingChain,
+    FpParams,
     PhaseType,
     absorption_probability,
+    aoi_cdf,
+    aoi_pdf,
+    build_fp_model,
     build_zw_amc,
     erlang_ph,
     expm_action,
     expm_action_grid,
+    paoi_cdf,
+    paoi_moment,
+    paoi_pdf,
     ph_cdf,
     ph_moment,
     ph_pdf,
@@ -44,11 +51,18 @@ class TestPdf:
             ph_pdf(exponential_ph(1.0), -0.1)
 
     def test_array_argument_matches_scalars(self):
+        # unsorted, with a repeated point: every law sorts, evaluates and
+        # puts the values back in the caller's order
         ph = erlang_ph(0.7, 3)
-        xs = np.array([0.0, 0.3, 2.0, 0.1])
-        vals = ph_pdf(ph, xs)
-        for x, v in zip(xs, vals):
-            assert v == pytest.approx(ph_pdf(ph, float(x)), rel=1e-10)
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 3))
+        xs = np.array([0.0, 0.3, 2.0, 0.1, 0.3, 7.5])
+        for law, model in ((ph_pdf, ph), (ph_cdf, ph),
+                           (aoi_pdf, chain), (aoi_cdf, chain),
+                           (paoi_pdf, chain), (paoi_cdf, chain)):
+            vals = law(model, xs)
+            assert vals.shape == xs.shape
+            for x, v in zip(xs, vals):
+                assert v == pytest.approx(law(model, float(x)), rel=1e-10)
 
 
 class TestCdf:
@@ -139,8 +153,14 @@ class TestExpmAction:
                                        rtol=1e-9, atol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            expm_action(np.eye(3) * -1.0, 1.0, np.ones(4))
+        # at x = 0 no matrix product runs, so only the input checks see it
+        for x in (0.0, 1.0):
+            with pytest.raises(ValueError, match="v has shape"):
+                expm_action(np.eye(3) * -1.0, x, np.ones(4))
+            with pytest.raises(ValueError, match="v has shape"):
+                expm_action_grid(np.eye(3) * -1.0, [x], np.ones(4))
+            with pytest.raises(ValueError, match="S must be square"):
+                expm_action_grid(-np.ones((2, 3)), [x], np.ones(2))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -227,6 +247,22 @@ class TestStructuralInvariants:
         for x in xs:
             num = (ph_cdf(ph, x + h) - ph_cdf(ph, x - h)) / (2.0 * h)
             assert num == pytest.approx(ph_pdf(ph, float(x)), abs=1e-6)
+
+    def test_one_column_chain_matches_phase_type(self, rng):
+        # a proper phase-type is the peak age of the chain that absorbs
+        # through its exit rates alone
+        ph = random_phase_type(rng, 6)
+        chain = AbsorbingChain(ph.S, ph.nu[:, None], ph.sigma, np.ones(6))
+        xs = np.array([2.0, 0.0, 0.4, 2.0, 9.0])
+        for got, want in ((paoi_pdf(chain, xs), ph_pdf(ph, xs)),
+                          (paoi_cdf(chain, xs), ph_cdf(ph, xs))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        for x in (0.0, 0.4, 9.0):
+            assert paoi_pdf(chain, x) == pytest.approx(ph_pdf(ph, x), rel=1e-12)
+            assert paoi_cdf(chain, x) == pytest.approx(ph_cdf(ph, x), rel=1e-12)
+        for i in (1, 2, 3):
+            assert paoi_moment(chain, i) == pytest.approx(ph_moment(ph, i),
+                                                         rel=1e-12)
 
     def test_substochastic_sigma_allowed(self):
         ph = PhaseType([0.5], [[-1.0]])
