@@ -24,7 +24,7 @@ from . import __version__, _io
 from .fp import FpParams, build_fp_model, preempt_only_params
 from .metrics import GridSpec, summarize
 from .optimize import optimize_freeze
-from .sim import FP, FP_PREEMPT_ONLY, ZW, SimConfig, simulate
+from .sim import FP, POLICIES, ZW, SimConfig, simulate
 from .zw import ZwParams, build_zw_amc, zw_closed_form_means
 
 FIGURE_IDS = ("3a", "3b", "4", "5", "6")
@@ -70,6 +70,12 @@ def _flag_values(args) -> dict:
             "lambda": args.freeze_rate, "k": args.k}
 
 
+def _number(value, name: str, where: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{where.format(name)} must be a number, got {value!r}")
+    return value
+
+
 def _model_params(raw: dict, where: str):
     """Model parameters from ``raw``'s policy, mu1, mu2, lambda and k.
 
@@ -77,17 +83,15 @@ def _model_params(raw: dict, where: str):
     config field. A missing or non-numeric field is a usage error.
     """
     policy = raw.get("policy")
-    if policy not in (ZW, FP, FP_PREEMPT_ONLY):
+    if policy not in POLICIES:
         raise UsageError(f"{where.format('policy')} must be one of "
-                         f"{ZW}/{FP}/{FP_PREEMPT_ONLY}")
+                         f"{'/'.join(POLICIES)}")
     values = []
     for name in ("mu1", "mu2") + (("lambda", "k") if policy == FP else ()):
         value = raw.get(name)
         if value is None:
             raise UsageError(f"{where.format(name)} is required for policy {policy}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UsageError(f"{where.format(name)} must be a number, got {value!r}")
-        values.append(value)
+        values.append(_number(value, name, where))
     if policy == ZW:
         return ZwParams(*values)
     if policy == FP:
@@ -127,18 +131,30 @@ def summary_params(args) -> dict:
 
 def _sim_config_from_args(args) -> SimConfig:
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except OSError as err:
+            raise UsageError(f"cannot read config: {err}") from err
+        if not isinstance(raw, dict):
+            raise UsageError("config must be a JSON object")
         where = "config field '{}'"
     else:
         raw = {**_flag_values(args), "cycles": args.cycles,
                "warmup": args.warmup, "seed": args.seed, "reps": args.reps}
         where = "--{}"
+
+    def field(name, default):
+        value = raw.get(name, default)
+        if value is None and default is None:
+            return None
+        return _number(value, name, where)
+
     return SimConfig(_model_params(raw, where), raw["policy"],
-                     horizon=raw.get("cycles", 1_000_000),
-                     warmup=raw.get("warmup"),
-                     seed=raw.get("seed", 0),
-                     replications=raw.get("reps", 2))
+                     horizon=field("cycles", 1_000_000),
+                     warmup=field("warmup", None),
+                     seed=field("seed", 0),
+                     replications=field("reps", 2))
 
 
 def cmd_simulate(args) -> int:
@@ -288,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="Erlang order of the freeze time")
 
     pa = sub.add_parser("analyze", help="exact distributions and moments")
-    add_model_flags(pa, ("zw", "fp"))
+    add_model_flags(pa, POLICIES)
     pa.add_argument("--grid-points", type=int, default=2000)
     pa.add_argument("--grid-max", type=float, default=40.0,
                     help="grid end as a multiple of the mean")
@@ -297,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="event-driven simulation")
     ps.add_argument("--config", help="JSON run description")
-    ps.add_argument("--policy", choices=(ZW, FP, FP_PREEMPT_ONLY), default=ZW)
+    ps.add_argument("--policy", choices=POLICIES, default=ZW)
     ps.add_argument("--mu1", type=float)
     ps.add_argument("--mu2", type=float)
     ps.add_argument("--lambda", dest="freeze_rate", type=float)

@@ -15,20 +15,18 @@ freeze phase ``1..k``, five singletons are not in freeze. Its initial
 vector cannot be written down directly; it follows from the stationary
 distribution of a recurrent chain over ``5k + 2`` states describing the
 system as seen at an arbitrary time, weighted by the rate at which new
-packets are generated in each state.
+packets are generated in each state. The preemption-only limit (freezes
+of length zero) has an exact 5-state chain of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .phasetype import AbsorbingChain
-
-#: Freeze rate used for the preemption-only limit: freeze durations of
-#: mean 1e-8 are negligible against any service time of interest.
-PREEMPT_ONLY_RATE = 1e8
 
 #: State families of the cycle chain that carry a freeze phase; families
 #: 3, 5, 7, 9 and 14 are singletons (no freeze running).
@@ -43,7 +41,8 @@ class FpParams:
     given the other way round), ``freeze_rate`` is the reciprocal mean
     freeze duration, and ``k`` is the Erlang order of the freeze
     distribution (``k = 1`` exponential, large ``k`` nearly
-    deterministic).
+    deterministic). An infinite ``freeze_rate`` means freezes of length
+    zero: the preemption-only policy.
     """
 
     mu1: float
@@ -75,8 +74,8 @@ class FpParams:
 
 
 def preempt_only_params(mu1: float, mu2: float) -> FpParams:
-    """Parameters for the preemption-only limit (no effective freezing)."""
-    return FpParams(mu1, mu2, PREEMPT_ONLY_RATE, 1)
+    """Parameters of the preemption-only limit: freezes of length zero."""
+    return FpParams(mu1, mu2, math.inf, 1)
 
 
 class _StateIndex:
@@ -303,7 +302,7 @@ def rmc_stationary(P: np.ndarray, p: FpParams,
     ------
     RuntimeError
         If the solved vector leaves a residual above ``residual_tol``
-        (a malformed or reducible generator).
+        or a NaN one (a malformed or reducible generator).
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
@@ -314,7 +313,7 @@ def rmc_stationary(P: np.ndarray, p: FpParams,
     pi = np.linalg.solve(A, rhs)
     residual = float(np.max(np.abs(pi @ P)))
     scale = max(1.0, float(np.max(np.abs(np.diag(P)))))
-    if residual > residual_tol * scale:
+    if not residual <= residual_tol * scale:
         raise RuntimeError(
             f"stationary solve residual {residual:.3e} exceeds tolerance")
     if np.any(pi < -1e-12):
@@ -364,11 +363,39 @@ def fp_initial_vector(p: FpParams, st: StationarySolution) -> np.ndarray:
     return init
 
 
+def _build_preempt_only(p: FpParams) -> AbsorbingChain:
+    """Exact 5-state cycle chain of the preemption-only limit.
+
+    States: 0/1 tagged packet on server 1 with a staler/fresher packet on
+    server 2; 2/3 the mirror images on server 2; 4 tagged delivered, so
+    both servers hold successors. Out-of-order completions preempt the
+    tagged packet (column 1). The initial vector weights the generating
+    events by the stationary odds ``a : a + b`` that server 1 : server 2
+    holds the fresher packet. Mean age and mean peak age both equal
+    ``(a + 2b)(2a + b) / (a + b)^3``.
+    """
+    a, b = p.mu1, p.mu2
+    S, V = np.zeros((5, 5)), np.zeros((5, 2))
+    S[0, 4], S[0, 1] = a, b
+    S[1, 4], V[1, 1] = a, b
+    S[2, 4], S[2, 3] = b, a
+    S[3, 4], V[3, 1] = b, a
+    V[4, 0] = a + b
+    np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
+    init = np.array([a * (a + b), a * a + a * b + b * b, (a + b) ** 2, 0.0, 0.0])
+    meta = {"policy": "fp_preempt_only", "mu1": a, "mu2": b, "swapped": p.swapped}
+    return AbsorbingChain(S, V, init / init.sum(), np.eye(5)[4],
+                          success_col=0, meta=meta)
+
+
 def build_fp_model(p: FpParams) -> AbsorbingChain:
     """Complete freeze/preempt cycle chain with its initial vector.
 
     Runs the full pipeline: recurrent chain, stationary solve, initial
-    vector, absorbing chain.
+    vector, absorbing chain. An infinite freeze rate gives the exact
+    preemption-only chain instead.
     """
+    if math.isinf(p.freeze_rate):
+        return _build_preempt_only(p)
     st = rmc_stationary(build_fp_rmc(p), p)
     return build_fp_amc(p).with_init(fp_initial_vector(p, st))

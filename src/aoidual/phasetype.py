@@ -26,7 +26,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 #: Tolerance for structural checks (row sums, probability normalization).
 #: Scaled by the largest rate in a row so that chains with very large
-#: rates (e.g. freeze rates of 1e8) validate correctly.
+#: rates (e.g. fast freeze phases) validate correctly.
 STRUCT_TOL = 1e-12
 
 #: Poisson tail mass discarded when truncating the uniformization series.

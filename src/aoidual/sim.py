@@ -38,27 +38,6 @@ _INF = float("inf")
 _BLOCK = 1 << 15
 
 
-class _ExpSampler:
-    """Buffered exponential variates by inversion."""
-
-    __slots__ = ("rng", "rate", "buf", "pos")
-
-    def __init__(self, rng, rate: float):
-        self.rng = rng
-        self.rate = rate
-        self.buf = []
-        self.pos = 0
-
-    def __call__(self) -> float:
-        if self.pos == len(self.buf):
-            u = self.rng.random(_BLOCK)
-            self.buf = (-np.log1p(-u) / self.rate).tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
-
-
 class _ErlangSampler:
     """Buffered Erlang-``k`` variates as sums of ``k`` exponentials."""
 
@@ -132,7 +111,7 @@ class SimConfig:
                "warmup": self.warmup, "seed": self.seed,
                "replications": self.replications,
                "mu1": self.params.mu1, "mu2": self.params.mu2}
-        if isinstance(self.params, FpParams):
+        if self.policy == FP:
             out["freeze_rate"] = self.params.freeze_rate
             out["k"] = self.params.k
         return out
@@ -210,8 +189,8 @@ def _rep_rng(seed: int, rep: int):
 
 
 def _run_zw(mu1, mu2, horizon, warmup, rng):
-    e1 = _ExpSampler(rng, mu1)
-    e2 = _ExpSampler(rng, mu2)
+    e1 = _ErlangSampler(rng, 1, mu1)
+    e2 = _ErlangSampler(rng, 1, mu2)
     n_cycles = horizon - warmup - 1
     u_arr = np.empty(n_cycles)
     len_arr = np.empty(n_cycles)
@@ -261,8 +240,8 @@ def _run_zw(mu1, mu2, horizon, warmup, rng):
 
 
 def _run_fp(mu1, mu2, freeze_rate, k, horizon, warmup, rng, freezing):
-    e1 = _ExpSampler(rng, mu1)
-    e2 = _ExpSampler(rng, mu2)
+    e1 = _ErlangSampler(rng, 1, mu1)
+    e2 = _ErlangSampler(rng, 1, mu2)
     erl = _ErlangSampler(rng, k, freeze_rate) if freezing else None
     n_cycles = horizon - warmup - 1
     u_arr = np.empty(n_cycles)

@@ -46,6 +46,14 @@ class TestAnalyze:
         rows = read_csv(out / "aoi_table.csv")
         assert set(rows[0]) == {"x", "pdf", "cdf"}
 
+    def test_preempt_only_output(self, tmp_path, capsys):
+        out = tmp_path / "po"
+        assert run(["analyze", "--policy", "fp_preempt_only", "--mu1", "1",
+                    "--mu2", "1", "--out", str(out)]) == 0
+        assert "mean_aoi=1.125 mean_paoi=1.125" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["meta"]["policy"] == "fp_preempt_only"
+
     def test_missing_lambda_exits_two(self, tmp_path, capsys):
         code = run(["analyze", "--policy", "fp", "--mu1", "0.5", "--mu2",
                     "0.1", "--k", "10", "--out", str(tmp_path / "x")])
@@ -126,6 +134,27 @@ class TestSimulate:
         assert run(["simulate", "--config", str(cfg_path),
                     "--out", str(tmp_path / "x")]) == 2
         assert "'mu1'" in capsys.readouterr().err
+
+    def test_config_missing_file_exits_two(self, tmp_path, capsys):
+        assert run(["simulate", "--config", str(tmp_path / "absent.json"),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_list_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps([{"policy": "zw", "mu1": 1.0,
+                                         "mu2": 0.1}]))
+        assert run(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_config_null_cycles_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": "zw", "mu1": 1.0,
+                                        "mu2": 0.1, "cycles": None}))
+        assert run(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "'cycles'" in capsys.readouterr().err
 
     def test_flags_require_rates(self, tmp_path):
         assert run(["simulate", "--policy", "zw", "--cycles", "5000",

@@ -15,6 +15,7 @@ from aoidual import (
     SimConfig,
     absorption_probability,
     aoi_mean,
+    paoi_mean,
     build_fp_amc,
     build_fp_model,
     build_fp_rmc,
@@ -43,7 +44,7 @@ class TestParams:
 
     def test_preempt_only_convenience(self):
         p = preempt_only_params(1.0, 0.3)
-        assert p.k == 1 and p.freeze_rate == 1e8
+        assert p.k == 1 and math.isinf(p.freeze_rate)
 
 
 class TestStateIndex:
@@ -190,6 +191,19 @@ class TestRmc:
         with pytest.raises((RuntimeError, np.linalg.LinAlgError)):
             rmc_stationary(P, p)
 
+    def test_nan_generator_signalled(self):
+        p = FpParams(1.0, 0.5, 1.0, 2)
+        P = build_fp_rmc(p)
+        P[0, 1] = np.nan
+        with pytest.raises(RuntimeError, match="residual"):
+            rmc_stationary(P, p)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_freeze_rate_signalled(self):
+        p = preempt_only_params(1.0, 0.3)
+        with pytest.raises(RuntimeError, match="residual"):
+            rmc_stationary(build_fp_rmc(p), p)
+
     def test_packet_rate_bounds(self):
         p = FpParams(0.5, 0.1, 1.0, 1)
         st = rmc_stationary(build_fp_rmc(p), p)
@@ -322,9 +336,35 @@ class TestModelPipeline:
                   for lam in (1e6, 1e7, 1e8)]
         assert abs(values[1] - values[0]) / values[0] <= 1e-6
         assert abs(values[2] - values[1]) / values[1] <= 1e-6
+        exact = aoi_mean(build_fp_model(preempt_only_params(1.0, 0.3)))
+        assert abs(values[2] - exact) / exact <= 1e-7
 
     def test_homogeneous_preempt_only_closed_value(self):
         # equal service rates: preemption alone reduces mean age from
         # 1.25/mu (zero wait) to 1.125/mu, a 10% improvement
         model = build_fp_model(preempt_only_params(2.0, 2.0))
         assert aoi_mean(model) == pytest.approx(1.125 / 2.0, rel=1e-6)
+
+
+class TestPreemptOnlyChain:
+    """The exact limit chain against its closed forms."""
+
+    PAIRS = [(1.0, 0.3), (1.0, 1.0), (0.5, 0.1), (2.0, 2.0), (1.0, 0.01),
+             (3.0, 0.2), (0.3, 1.0), (0.1, 0.5)]
+
+    @pytest.mark.parametrize("mu1,mu2", PAIRS)
+    def test_closed_forms(self, mu1, mu2):
+        model = build_fp_model(preempt_only_params(mu1, mu2))
+        a, b = max(mu1, mu2), min(mu1, mu2)
+        mean = (a + 2 * b) * (2 * a + b) / (a + b) ** 3
+        success = (a + b) * (2 * a + b) / (3 * a * a + 4 * a * b + 2 * b * b)
+        assert model.order == 5
+        assert aoi_mean(model) == pytest.approx(mean, rel=1e-12)
+        assert paoi_mean(model) == pytest.approx(mean, rel=1e-12)
+        assert absorption_probability(model, 0) == pytest.approx(success, rel=1e-12)
+
+    def test_metadata_names_the_limit(self):
+        meta = build_fp_model(preempt_only_params(0.3, 1.0)).meta
+        assert meta["policy"] == "fp_preempt_only" and meta["swapped"]
+        assert (meta["mu1"], meta["mu2"]) == (1.0, 0.3)
+        assert "freeze_rate" not in meta and "k" not in meta

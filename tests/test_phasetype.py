@@ -138,6 +138,30 @@ class TestExpmAction:
         np.testing.assert_allclose(expm_action(S, x, v), expected,
                                    rtol=1e-10, atol=1e-13)
 
+    def test_stiff_horizon_squares_a_step_matrix(self, monkeypatch):
+        # rate * x beyond _MAX_SUBSTEPS substeps takes the squaring branch
+        from aoidual import phasetype
+
+        S = np.array([[-1e4, 1e4, 0.0, 0.0],
+                      [0.0, -0.4, 0.3, 0.0],
+                      [0.5, 0.0, -2000.5, 2000.0],
+                      [0.0, 1.0, 0.0, -1.2]])
+        v = np.array([0.4, 0.3, 0.2, 0.1])
+        x = 3.0
+        assert 1e4 * x > phasetype._MAX_SUBSTEPS * phasetype._MAX_STEP_MASS
+        seen = []
+        step = phasetype._step
+
+        def spy(u, P, mass):
+            seen.append(u.ndim)
+            return step(u, P, mass)
+
+        monkeypatch.setattr(phasetype, "_step", spy)
+        got = expm_action(S, x, v)
+        assert seen == [2]
+        np.testing.assert_allclose(got, v @ scipy.linalg.expm(S * x),
+                                   rtol=1e-10, atol=1e-15)
+
     def test_nonnegative_output_for_nonnegative_input(self, rng):
         S = random_subgenerator(rng, 6, 10.0)
         v = rng.random(6)

@@ -2,6 +2,7 @@
 agreement with the analytic models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ class TestKsMachinery:
         with pytest.warns(UserWarning, match="mu2"):
             ks = empirical_vs_analytic(cfg, table)
         assert ks > 0.01
+
+    def test_preempt_only_table_matches_config(self):
+        from aoidual import preempt_only_params
+
+        p = preempt_only_params(1.0, 0.4)
+        table = summarize(build_fp_model(p)).aoi_table
+        for params in (p, FpParams(1.0, 0.4, 1.0, 3), ZwParams(1.0, 0.4)):
+            cfg = SimConfig(params, FP_PREEMPT_ONLY, horizon=5_000, seed=1,
+                            replications=1)
+            assert "freeze_rate" not in cfg.describe()
+            assert "k" not in cfg.describe()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert empirical_vs_analytic(cfg, table) < 0.05
 
     def test_simulated_agreement_smoke(self):
         p = FpParams(0.5, 0.1, 1.0, 1)
