@@ -185,8 +185,11 @@ def _table(chain: AbsorbingChain, kind: str, grid_spec: GridSpec,
     moments = law.moments(3)
     mean, m2 = moments[0], moments[1]
     grid = grid_spec.build(mean)
-    pdf, cdf = law.pdf_cdf(expm_action_grid(chain.S, grid, law.init))
-    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+    proj, info = expm_action_grid(chain.S, grid, law.init, law.W,
+                                  full_output=True)
+    pdf, raw = law.pdf_cdf(proj)
+    cdf = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
+    meta = {**meta, **info, "cdf_clip": float(np.max(np.abs(cdf - raw)))}
     table = DistributionTable(grid, pdf, cdf, mean, m2, m2 - mean * mean,
                               meta=meta)
     return table, tuple(moments)

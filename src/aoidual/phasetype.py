@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, exp, factorial, log2, sqrt
+from math import ceil, exp, factorial, lgamma, log, log2
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,6 +23,7 @@ import warnings
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse import csr_matrix
 
 #: Tolerance for structural checks (row sums, probability normalization).
 #: Scaled by the largest rate in a row so that chains with very large
@@ -32,13 +33,22 @@ STRUCT_TOL = 1e-12
 #: Poisson tail mass discarded when truncating the uniformization series.
 EXPM_TAIL = 1e-14
 
-#: Largest uniformization step; larger horizons are split into substeps
-#: so the leading Poisson weight exp(-m) stays representable.
+#: Largest Poisson mass of the step matrix that repeated squaring starts
+#: from, so its leading weight exp(-m) stays representable.
 _MAX_STEP_MASS = 200.0
 
-#: Beyond this many substeps the action switches to repeated squaring of
-#: a dense step matrix, keeping extreme horizons O(log) instead of O(mass).
-_MAX_SUBSTEPS = 64
+#: Rows of the single-pass walk held and weighted at once.
+_BLOCK = 256
+
+#: Up to this order a dense vector product is cheaper than a CSR one
+#: (4 against 7.5 us at order 95, 49 against 10 us at order 455).
+_DENSE_ORDER = 128
+
+#: Cost of one sparse vector product and of one dense matrix product
+#: beyond their flops, in flops (call overhead, measured with one BLAS
+#: thread); they decide between a walk and squaring.
+_VECTOR_COST = 2e5
+_PRODUCT_COST = 5e4
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
@@ -253,49 +263,148 @@ class AbsorbingChain:
 
 def _uniformized(S: np.ndarray):
     """Return (P, rate) with ``S = rate * (P - I)`` and ``P`` substochastic."""
-    rate = float(np.max(-np.diag(S)))
+    rate = float(np.max(-np.diag(S), initial=0.0))
     if rate == 0.0:
-        return None, 0.0
+        return np.eye(S.shape[0]), 0.0
     P = S / rate
     P[np.diag_indices_from(P)] += 1.0
     return P, rate
 
 
-def _step(v: np.ndarray, P: np.ndarray, mass: float) -> np.ndarray:
-    """Advance ``v`` by one uniformization step of Poisson mass ``mass``."""
+def _poisson_window(mass, tail: float):
+    """Integer bounds ``[left, right]`` outside which a Poisson(``mass``)
+    law has at most ``tail`` of its mass.
+
+    Bernstein's inequalities, ``P(N >= m + t) <= exp(-t^2 / (2 (m + t/3)))``
+    and ``P(N <= m - t) <= exp(-t^2 / (2 m))``, each set to ``tail / 2``.
+    Both bounds are nondecreasing in ``mass``.
+    """
+    mass = np.asarray(mass, dtype=float)
+    c = log(2.0 / tail)
+    right = np.ceil(mass + c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * mass))
+    left = np.floor(np.maximum(mass - np.sqrt(2.0 * c * mass), 0.0))
+    return left.astype(np.int64), right.astype(np.int64)
+
+
+def _log_factorial(j) -> np.ndarray:
+    """``log(j!)`` for each entry of a nonnegative integer array."""
+    j = np.asarray(j, dtype=float)
+    return np.fromiter(map(lgamma, (j + 1.0).ravel().tolist()), float,
+                       j.size).reshape(j.shape)
+
+
+def _poisson_tail(mass, left, right):
+    """Upper bound on the Poisson(``mass``) probability outside
+    ``[left, right]``.
+
+    Above ``right`` each term is at most ``mass / (right + 2)`` times the
+    one before, below ``left`` at most ``(left - 1) / mass``, so while
+    that ratio is under one each tail is at most a geometric series from
+    its first term; otherwise the bound is 1.
+    """
+    mass, left, right = np.broadcast_arrays(np.asarray(mass, dtype=float),
+                                            left, right)
+
+    def geometric(first, ratio):
+        with np.errstate(divide="ignore"):
+            pmf = np.exp(first * np.log(mass) - mass - _log_factorial(first))
+            sum_ = pmf / (1.0 - ratio)
+        return np.where(ratio < 1.0, sum_, 1.0)
+
+    first = np.maximum(left - 1, 0)
+    below = np.where(left > 0, geometric(first, first / mass), 0.0)
+    return geometric(right + 1, mass / (right + 2.0)) + below
+
+
+def _step(X: np.ndarray, P: np.ndarray, mass: float, terms: int) -> np.ndarray:
+    """The Poisson(``mass``)-weighted sum of ``X P^j`` for ``j <= terms``."""
     weight = exp(-mass)
-    term = v
-    acc = weight * v
-    remaining = 1.0 - weight
-    j = 0
-    cap = int(ceil(mass + 40.0 * sqrt(mass) + 100.0))
-    while remaining > EXPM_TAIL and j < cap:
-        j += 1
+    term = X
+    acc = weight * X
+    for j in range(1, terms + 1):
         term = term @ P
         weight *= mass / j
         acc = acc + weight * term
-        remaining -= weight
     return acc
 
 
-def _advance(v: np.ndarray, P: np.ndarray, mass: float) -> np.ndarray:
-    """Advance ``v`` across a total Poisson mass, substepping as needed.
+def _squaring(P: np.ndarray, masses: np.ndarray, v: np.ndarray):
+    """``v expm(S x)`` at each mass ``rate * x`` from a step matrix squared.
 
-    Moderate masses are walked in vector substeps; extreme masses build
-    one dense step matrix and square it, so even astronomically stiff
-    horizons stay cheap. Both paths keep every intermediate nonnegative.
+    The step matrix of mass ``m / 2^s <= _MAX_STEP_MASS`` is a Poisson
+    series in the dense ``P``, truncated at ``EXPM_TAIL / 2^s`` so that
+    its ``2^s``-th power is within ``EXPM_TAIL``. The cost is
+    ``O(log(m))`` dense products per point, independent of the mass.
+    Returns the rows and the largest discarded Poisson mass.
     """
-    nsub = int(ceil(mass / _MAX_STEP_MASS))
-    if nsub <= _MAX_SUBSTEPS:
-        out = v
-        for _ in range(nsub):
-            out = _step(out, P, mass / nsub)
-        return out
-    s = int(ceil(log2(mass / _MAX_STEP_MASS)))
-    E = _step(np.eye(P.shape[0]), P, mass / 2.0 ** s)
-    for _ in range(s):
-        E = E @ E
-    return v @ E
+    rows, tail = [], 0.0
+    for mass in masses:
+        s = max(0, ceil(log2(mass / _MAX_STEP_MASS)))
+        h = mass / 2.0 ** s
+        terms = int(_poisson_window(h, EXPM_TAIL / 2.0 ** s)[1])
+        E = _step(np.eye(P.shape[0]), P, h, terms)
+        for _ in range(s):
+            E = E @ E
+        rows.append(v @ E)
+        tail = max(tail, 2.0 ** s * float(_poisson_tail(h, 0, terms)))
+    return np.array(rows), tail
+
+
+def _single_pass(P: np.ndarray, masses: np.ndarray, v: np.ndarray, W):
+    """``v expm(S x) W`` at each mass ``rate * x`` (ascending) from one walk.
+
+    The walk forms ``u_j = v P^j`` once, for ``j`` up to the Poisson right
+    bound of the largest mass, with ``P`` in CSR form (dense up to
+    ``_DENSE_ORDER``), and keeps only the projections ``u_j W`` (``u_j``
+    itself when ``W`` is None). Each point is the Poisson-weighted sum of
+    the projections inside its window (Grassmann 1977; Fox and Glynn
+    1988). The weights are normalized to sum to one over the terms kept.
+    Returns the values and the largest Poisson mass outside a point's
+    window.
+    """
+    left, right = _poisson_window(masses, EXPM_TAIL)
+    log_mass = np.log(masses)[:, None]
+    # u @ P as PT @ u
+    dense = v.shape[0] <= _DENSE_ORDER
+    PT = np.ascontiguousarray(P.T) if dense else csr_matrix(P.T)
+    width = v.shape[0] if W is None else W.shape[1]
+    acc = np.zeros((masses.shape[0], width))
+    norm = np.zeros(masses.shape[0])
+    steps = int(right[-1]) + 1
+    log_factorial = _log_factorial(np.arange(steps))
+    u = v
+    for j0 in range(0, steps, _BLOCK):
+        j = np.arange(j0, min(j0 + _BLOCK, steps))
+        U = np.empty((j.shape[0], v.shape[0]))
+        for r in range(j.shape[0]):
+            U[r] = u
+            u = PT @ u
+        # the points whose window meets this block are contiguous
+        a, b = np.searchsorted(right, j0), np.searchsorted(left, j[-1], "right")
+        if a < b:
+            p = np.exp(j * log_mass[a:b] - masses[a:b, None]
+                       - log_factorial[j0:j0 + j.shape[0]])
+            acc[a:b] += p @ (U if W is None else U @ W)
+            norm[a:b] += p.sum(axis=1)
+    tail = float(np.max(_poisson_tail(masses, left, right)))
+    return acc / norm[:, None], tail
+
+
+def _prefer_squaring(mass: float, points: int, order: int, nnz: int) -> bool:
+    """Whether squaring is cheaper than one walk, in flop equivalents.
+
+    A walk takes about ``mass`` sparse vector products, each dominated by
+    a fixed call overhead; squaring takes a few hundred dense products of
+    order ``order`` per point. Only a huge mass at few points, or a tiny
+    order, tips the balance to squaring.
+    """
+    if mass <= _MAX_STEP_MASS:
+        return False
+    s = ceil(log2(mass / _MAX_STEP_MASS))
+    walk = int(_poisson_window(mass, EXPM_TAIL)[1]) * (_VECTOR_COST + 2.0 * nnz)
+    terms = int(_poisson_window(_MAX_STEP_MASS, EXPM_TAIL / 2.0 ** s)[1])
+    square = points * (terms + s) * (_PRODUCT_COST + 2.0 * order ** 3)
+    return square < walk
 
 
 def expm_action(S, x: float, v) -> np.ndarray:
@@ -304,9 +413,8 @@ def expm_action(S, x: float, v) -> np.ndarray:
     Uses uniformization: with ``rate = max_i |S_ii|`` and the substochastic
     matrix ``P = I + S/rate``, the action is the Poisson-weighted sum of
     ``v @ P^j``. Every intermediate quantity is nonnegative when ``v`` is,
-    and the series is truncated once the remaining Poisson mass drops
-    below ``EXPM_TAIL``. Horizons with ``rate * x`` beyond a safe step
-    size are split into substeps.
+    and the series is truncated so that the discarded Poisson mass stays
+    below ``EXPM_TAIL``. See :func:`expm_action_grid`.
 
     Parameters
     ----------
@@ -327,13 +435,28 @@ def expm_action(S, x: float, v) -> np.ndarray:
     return expm_action_grid(S, [x], v)[0]
 
 
-def expm_action_grid(S, xs, v) -> np.ndarray:
-    """Evaluate ``v @ expm(S * x)`` for every ``x`` of a sorted grid.
+def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
+    """Evaluate ``v @ expm(S * x) @ W`` for every ``x`` of a sorted grid.
 
-    Steps incrementally from each grid point to the next, so the total
-    work scales with ``rate * max(xs)`` rather than the sum over points.
+    By default (``W`` None) the full row vector ``v @ expm(S * x)``. A
+    single pass walks ``v P^j`` once, up to the Poisson right bound of
+    ``rate * max(xs)``, so the work scales with the largest mass rather
+    than with the number of points; with ``W`` only the projections of
+    the walk onto the columns of ``W`` are kept. For few points at a huge
+    mass a step matrix is squared instead; the choice depends only on the
+    mass, the number of points and the order of ``S``.
 
-    Returns an array of shape ``(len(xs), len(v))``.
+    Returns an array of shape ``(len(xs), W.shape[1])``, or
+    ``(len(xs), len(v))`` without ``W``. With ``full_output`` it returns
+    ``(values, info)``, where ``info`` names the ``kernel``
+    (``"single_pass"`` or ``"squaring"``) and gives the ``unif_mass``
+    ``rate * max(xs)`` and ``poisson_tail``, a bound on the Poisson mass
+    discarded at any point.
+
+    Raises
+    ------
+    RuntimeError
+        If the discarded Poisson mass exceeds ``EXPM_TAIL``.
     """
     S = np.asarray(S, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -342,23 +465,40 @@ def expm_action_grid(S, xs, v) -> np.ndarray:
         raise ValueError("S must be square")
     if v.shape != (S.shape[0],):
         raise ValueError(f"v has shape {v.shape}, expected ({S.shape[0]},)")
+    if W is not None:
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 2 or W.shape[0] != S.shape[0]:
+            raise ValueError(f"W has shape {W.shape}, expected ({S.shape[0]}, m)")
     if xs.ndim != 1:
         raise ValueError("xs must be one-dimensional")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("grid points must be finite")
     if np.any(xs < 0):
         raise ValueError("grid points must be nonnegative")
     if np.any(np.diff(xs) < 0):
         raise ValueError("grid points must be sorted ascending")
     P, rate = _uniformized(S)
-    out = np.empty((xs.shape[0], v.shape[0]))
-    cur = v.copy()
-    prev = 0.0
-    for i, x in enumerate(xs):
-        mass = rate * (x - prev)
-        if mass > 0.0:
-            cur = _advance(cur, P, mass)
-        out[i] = cur
-        prev = x
-    return out
+    masses = rate * xs
+    at_zero = v if W is None else v @ W
+    out = np.empty((xs.shape[0], at_zero.shape[0]))
+    zero = int(np.searchsorted(masses, 0.0, side="right"))
+    out[:zero] = at_zero
+    mass = float(masses[-1]) if zero < masses.shape[0] else 0.0
+    squaring = _prefer_squaring(mass, masses.shape[0] - zero, S.shape[0],
+                                int(np.count_nonzero(P)))
+    tail = 0.0
+    if squaring:
+        rows, tail = _squaring(P, masses[zero:], v)
+        out[zero:] = rows if W is None else rows @ W
+    elif zero < masses.shape[0]:
+        out[zero:], tail = _single_pass(P, masses[zero:], v, W)
+    if tail > EXPM_TAIL:
+        raise RuntimeError(f"uniformization discarded a Poisson mass of {tail:.3g}, "
+                           f"above EXPM_TAIL = {EXPM_TAIL:g}")
+    if not full_output:
+        return out
+    return out, {"kernel": "squaring" if squaring else "single_pass",
+                 "unif_mass": mass, "poisson_tail": tail}
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +519,19 @@ class _Law:
     def __init__(self, S, init, w, solve_right, denom=None):
         self.S, self.init, self.w, self.solve_right = S, init, w, solve_right
         self.y = solve_right(w)
+        #: the kernel projects ``init expm(S x)`` onto these two columns
+        self.W = np.column_stack((w, self.y))
+        self._at_zero = init @ self.W
         if denom is None:
             denom = float(-(init @ self.y))
             if denom <= 0:
                 raise ValueError("conditioning weight has zero mass under init")
         self.denom = denom
 
-    def pdf_cdf(self, u):
-        """Density and cdf from the action ``u = init expm(S x)``."""
-        return (u @ self.w) / self.denom, ((u - self.init) @ self.y) / self.denom
+    def pdf_cdf(self, proj):
+        """Density and cdf from the projections ``init expm(S x) W``."""
+        return (proj[..., 0] / self.denom,
+                (proj[..., 1] - self._at_zero[1]) / self.denom)
 
     def at(self, x):
         """``(pdf, cdf)`` at a scalar or an unsorted array of times."""
@@ -396,11 +540,11 @@ class _Law:
             raise ValueError("time arguments must be nonnegative")
         xs = arr.reshape(1) if arr.ndim == 0 else arr
         order = np.argsort(xs, kind="stable")
-        u = expm_action_grid(self.S, xs[order], self.init)
+        proj = expm_action_grid(self.S, xs[order], self.init, self.W)
         if arr.ndim == 0:
-            return tuple(float(val) for val in self.pdf_cdf(u[0]))
+            return tuple(float(val) for val in self.pdf_cdf(proj[0]))
         vals = np.empty((2, order.size))
-        vals[:, order] = self.pdf_cdf(u)
+        vals[:, order] = self.pdf_cdf(proj)
         return vals[0], vals[1]
 
     def moments(self, count: int) -> list:

@@ -104,6 +104,8 @@ class SimConfig:
         if int(self.replications) != self.replications or self.replications < 1:
             raise ValueError("replications must be a positive integer")
         object.__setattr__(self, "replications", int(self.replications))
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
 
     def describe(self) -> dict:

@@ -2,6 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, with no example
+# database and no per-example deadline, so tier-1 stays reproducible and
+# its time bounded.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=25)
+settings.load_profile("tier1")
 
 
 def random_subgenerator(rng, n, scale=1.0):

@@ -75,6 +75,19 @@ class TestAnalyze:
         assert run(["analyze", "--policy", "zw", "--mu1", "-1", "--mu2", "1",
                     "--out", str(tmp_path / "x")]) == 2
 
+    def test_truncated_kernel_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a Poisson window that drops more than EXPM_TAIL is a numerical
+        # failure, not a silently truncated table
+        from aoidual import phasetype
+
+        window = phasetype._poisson_window
+        monkeypatch.setattr(phasetype, "_poisson_window",
+                            lambda mass, tail: (window(mass, tail)[0],
+                                                window(mass, tail)[1] // 2))
+        assert run(["analyze", "--policy", "zw", "--mu1", "1", "--mu2", "1",
+                    "--grid-points", "20", "--out", str(tmp_path / "x")]) == 1
+        assert "EXPM_TAIL" in capsys.readouterr().err
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m"
         run(["analyze", "--policy", "zw", "--mu1", "2", "--mu2", "1",
@@ -155,6 +168,15 @@ class TestSimulate:
         assert run(["simulate", "--config", str(cfg_path),
                     "--out", str(tmp_path / "x")]) == 2
         assert "'cycles'" in capsys.readouterr().err
+
+    def test_config_fractional_seed_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": "zw", "mu1": 1.0, "mu2": 0.1,
+                                        "cycles": 5000, "seed": 1.5}))
+        assert run(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_flags_require_rates(self, tmp_path):
         assert run(["simulate", "--policy", "zw", "--cycles", "5000",

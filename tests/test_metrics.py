@@ -162,6 +162,19 @@ class TestSummarize:
         assert summary.paoi_table.meta["kind"] == "paoi"
         assert summary.aoi_table.meta["mu2"] == 0.1
 
+    def test_meta_reports_kernel_health(self):
+        from aoidual.phasetype import EXPM_TAIL
+
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 3))
+        rate = float(np.max(-np.diag(chain.S)))
+        summary = summarize(chain, GridSpec(points=200))
+        for table in (summary.aoi_table, summary.paoi_table):
+            meta = table.meta
+            assert meta["kernel"] == "single_pass"
+            assert meta["unif_mass"] == rate * table.grid[-1]
+            assert 0.0 <= meta["poisson_tail"] <= EXPM_TAIL
+            assert 0.0 <= meta["cdf_clip"] <= 1e-12
+
 
 class TestScaleCovariance:
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
@@ -207,3 +220,6 @@ class TestSerialization:
         assert payload["mean_aoi"] == pytest.approx(1.25)
         assert len(payload["aoi_table"]["grid"]) == 51
         assert payload["meta"]["policy"] == "zw"
+        assert payload["aoi_table"]["meta"]["kernel"] == "single_pass"
+        assert set(payload["paoi_table"]["meta"]) >= {
+            "kernel", "unif_mass", "poisson_tail", "cdf_clip"}

@@ -9,6 +9,7 @@ import scipy.linalg
 from aoidual import (
     AbsorbingChain,
     FpParams,
+    GridSpec,
     PhaseType,
     absorption_probability,
     aoi_cdf,
@@ -24,6 +25,7 @@ from aoidual import (
     ph_cdf,
     ph_moment,
     ph_pdf,
+    summarize,
     ZwParams,
 )
 from conftest import random_phase_type, random_subgenerator, sample_absorption
@@ -139,7 +141,7 @@ class TestExpmAction:
                                    rtol=1e-10, atol=1e-13)
 
     def test_stiff_horizon_squares_a_step_matrix(self, monkeypatch):
-        # rate * x beyond _MAX_SUBSTEPS substeps takes the squaring branch
+        # one point at a mass of 3e4 takes the squaring branch
         from aoidual import phasetype
 
         S = np.array([[-1e4, 1e4, 0.0, 0.0],
@@ -148,19 +150,90 @@ class TestExpmAction:
                       [0.0, 1.0, 0.0, -1.2]])
         v = np.array([0.4, 0.3, 0.2, 0.1])
         x = 3.0
-        assert 1e4 * x > phasetype._MAX_SUBSTEPS * phasetype._MAX_STEP_MASS
+        assert phasetype._prefer_squaring(1e4 * x, 1, 4, np.count_nonzero(S))
         seen = []
         step = phasetype._step
 
-        def spy(u, P, mass):
+        def spy(u, *args):
             seen.append(u.ndim)
-            return step(u, P, mass)
+            return step(u, *args)
 
         monkeypatch.setattr(phasetype, "_step", spy)
         got = expm_action(S, x, v)
         assert seen == [2]
         np.testing.assert_allclose(got, v @ scipy.linalg.expm(S * x),
                                    rtol=1e-10, atol=1e-15)
+        _, info = expm_action_grid(S, [x], v, full_output=True)
+        assert info["kernel"] == "squaring" and info["unif_mass"] == 1e4 * x
+        assert 0.0 <= info["poisson_tail"] <= phasetype.EXPM_TAIL
+
+    def test_pointwise_far_tail_squares(self, monkeypatch):
+        # one cdf value at 40 means of F/P(0.5, 0.1, 100, 10): a mass of
+        # about 1.4e5 at a single point is cheaper to square than to walk
+        from aoidual import metrics, phasetype
+
+        chain = build_fp_model(FpParams(0.5, 0.1, 100.0, 10))
+        kernels = []
+        grid = phasetype.expm_action_grid
+
+        def spy(*args, **kwargs):
+            values, info = grid(*args, **kwargs, full_output=True)
+            kernels.append(info["kernel"])
+            return values
+
+        monkeypatch.setattr(phasetype, "expm_action_grid", spy)
+        cdf = aoi_cdf(chain, 40.0 * metrics.aoi_mean(chain))
+        assert kernels == ["squaring"]
+        assert 1.0 - 1e-9 <= cdf <= 1.0 + 1e-12
+
+    def test_projection_matches_full_vector(self, rng):
+        # W = I is the full action; any W is its projection
+        S = random_subgenerator(rng, 7)
+        v = rng.random(7)
+        W = rng.random((7, 3))
+        xs = np.array([0.0, 0.2, 0.2, 1.5, 6.0, 20.0])
+        full, info = expm_action_grid(S, xs, v, full_output=True)
+        assert info["kernel"] == "single_pass"
+        np.testing.assert_allclose(expm_action_grid(S, xs, v, np.eye(7)), full,
+                                   rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(expm_action_grid(S, xs, v, W), full @ W,
+                                   rtol=1e-12, atol=1e-16)
+        for x, row in zip(xs, full):
+            np.testing.assert_allclose(row, v @ scipy.linalg.expm(S * x),
+                                       rtol=1e-11, atol=1e-15)
+
+    def test_poisson_window_bounds_the_exact_tail(self):
+        # the reported tail bounds the exact Poisson mass outside each
+        # window from above, within a few percent, and meets the target
+        from scipy.special import pdtr, pdtrc
+
+        from aoidual import phasetype
+
+        mass = np.array([1e-3, 0.5, 3.0, 91.0, 7000.0, 1.4e5])
+        for tail in (phasetype.EXPM_TAIL, phasetype.EXPM_TAIL / 2.0 ** 10):
+            left, right = phasetype._poisson_window(mass, tail)
+            assert np.all((left <= mass) & (mass < right))
+            exact = (np.where(left > 0, pdtr(np.maximum(left - 1, 0), mass), 0.0)
+                     + pdtrc(right, mass))
+            bound = phasetype._poisson_tail(mass, left, right)
+            assert np.all(exact <= bound) and np.all(bound <= 1.05 * exact)
+            assert np.all(bound <= tail)
+
+    def test_truncation_beyond_tail_raises(self, monkeypatch):
+        # a window that drops more than EXPM_TAIL of the Poisson mass is
+        # an error, not a silently truncated series
+        from aoidual import phasetype
+
+        def narrow(mass, tail):
+            left, right = window(mass, tail)
+            return left, right // 2
+
+        window = phasetype._poisson_window
+        monkeypatch.setattr(phasetype, "_poisson_window", narrow)
+        S = np.array([[-2.0, 1.0], [0.5, -1.0]])
+        for xs in ([1.0, 5.0], [400.0]):  # single pass, then squaring
+            with pytest.raises(RuntimeError, match="EXPM_TAIL"):
+                expm_action_grid(S, xs, np.array([1.0, 0.0]))
 
     def test_nonnegative_output_for_nonnegative_input(self, rng):
         S = random_subgenerator(rng, 6, 10.0)
@@ -189,6 +262,39 @@ class TestExpmAction:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             expm_action(np.array([[-1.0]]), -0.5, np.array([1.0]))
+
+
+class TestFig3Kernel:
+    """The k = 50 Fig. 3 chain (455 states) against a dense expm."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 50))
+        return chain, summarize(chain, GridSpec())
+
+    @pytest.mark.parametrize("kind", ["aoi", "paoi"])
+    def test_laws_match_dense_expm(self, model, kind):
+        from aoidual import metrics
+
+        chain, summary = model
+        w = chain.aoi_mask if kind == "aoi" else chain.V[:, chain.success_col]
+        y = np.linalg.solve(chain.S, w)
+        denom = -(chain.init @ y)
+        table = getattr(summary, f"{kind}_table")
+        # x = 0, a repeated point, and the table's last grid point
+        xs = np.array([0.0, 0.35, 3.0, 3.0, 12.0, 40.0, table.grid[1000],
+                       table.grid[-1]])
+        pdf = getattr(metrics, f"{kind}_pdf")(chain, xs)
+        cdf = getattr(metrics, f"{kind}_cdf")(chain, xs)
+        for x, p, c in zip(xs, pdf, cdf):
+            u = chain.init @ scipy.linalg.expm(chain.S * x)
+            assert abs(p - u @ w / denom) <= 1e-12
+            assert abs(c - (u - chain.init) @ y / denom) <= 1e-12
+        assert cdf[0] == 0.0
+        assert (pdf[2], cdf[2]) == (pdf[3], cdf[3])
+        assert table.meta["kernel"] == "single_pass"
+        assert table.pdf[-1] == pytest.approx(pdf[-1], abs=1e-12)
+        assert table.cdf[-1] == pytest.approx(cdf[-1], abs=1e-12)
 
 
 class TestErlangConstruction:

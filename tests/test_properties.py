@@ -1,0 +1,34 @@
+"""Properties of the exact F/P tables over random model parameters."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from aoidual import FpParams, GridSpec, build_fp_model, summarize
+
+rates = st.floats(min_value=0.1, max_value=10.0)
+orders = st.integers(min_value=1, max_value=4)
+
+
+@given(mu1=rates, mu2=rates, freeze_rate=rates, k=orders)
+def test_tables_are_distributions_with_their_moments(mu1, mu2, freeze_rate, k):
+    summary = summarize(build_fp_model(FpParams(mu1, mu2, freeze_rate, k)),
+                        GridSpec(points=1000))
+    for table in (summary.aoi_table, summary.paoi_table):
+        assert np.all(np.diff(table.cdf) >= 0.0)
+        assert 0.0 <= table.cdf[0] and table.cdf[-1] <= 1.0
+        # the kernel's raw cdf needs no more than rounding-level repair
+        assert table.meta["cdf_clip"] <= 1e-12
+        mean = np.trapezoid(table.grid * table.pdf, table.grid)
+        assert mean == pytest.approx(table.mean, rel=1e-3)
+
+
+@given(mu1=rates, mu2=rates, freeze_rate=rates, k=orders)
+def test_means_invariant_under_swapped_rates(mu1, mu2, freeze_rate, k):
+    a = summarize(build_fp_model(FpParams(mu1, mu2, freeze_rate, k)),
+                  GridSpec(points=50))
+    b = summarize(build_fp_model(FpParams(mu2, mu1, freeze_rate, k)),
+                  GridSpec(points=50))
+    assert b.mean_aoi == pytest.approx(a.mean_aoi, rel=1e-12)
+    assert b.mean_paoi == pytest.approx(a.mean_paoi, rel=1e-12)

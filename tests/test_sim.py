@@ -54,6 +54,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(ZwParams(1, 1), "lcfs", horizon=1000)
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        # neither truncated (1.5 is not seed 1) nor left to SeedSequence
+        for seed in (1.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(ZwParams(1, 1), ZW, horizon=1000, seed=seed)
+        assert SimConfig(ZwParams(1, 1), ZW, horizon=1000, seed=7.0).seed == 7
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
