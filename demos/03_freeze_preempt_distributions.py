@@ -38,7 +38,7 @@ print("  beside an older packet (server 2):", init[idx.index((10, 1))])
 print("  beside an older packet (server 1):", init[idx.index((6, 1))])
 
 chain = build_fp_amc(params).with_init(init)
-print("cycle chain size:", chain.S.shape[0], "(equals 9k+5)")
+print("cycle chain size:", chain.order, "(equals 9k+5)")
 
 # One call does all of the above.
 assert np.array_equal(build_fp_model(params).init, chain.init)

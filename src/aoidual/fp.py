@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .phasetype import AbsorbingChain
 
@@ -79,44 +82,47 @@ def preempt_only_params(mu1: float, mu2: float) -> FpParams:
 
 
 class _StateIndex:
-    """Bijection between symbolic chain states and dense indices.
+    """Bijection between symbolic chain states and indices.
 
     Families ``1..n_families`` are laid out in order; those in
     ``phased`` carry a freeze phase and take a contiguous block of ``k``
     indices keyed ``(family, phase)``, the others one index keyed by the
-    bare int.
+    bare int. Indices are computed from ``first``, the index of each
+    family's first state, so a map costs ``O(n_families)`` at any ``k``.
     """
 
     def __init__(self, k: int, n_families: int, phased):
         if int(k) != k or k < 1:
             raise ValueError("Erlang order k must be a positive integer")
         self.k = int(k)
-        keys = []
-        for fam in range(1, n_families + 1):
-            if fam in phased:
-                keys.extend((fam, ell) for ell in range(1, self.k + 1))
-            else:
-                keys.append(fam)
-        self._by_state = {state: pos for pos, state in enumerate(keys)}
-        self._by_index = dict(enumerate(keys))
-
-    @property
-    def size(self) -> int:
-        return len(self._by_index)
+        self.phased = frozenset(phased)
+        families = range(1, n_families + 1)
+        sizes = [self.k if fam in self.phased else 1 for fam in families]
+        *starts, self.size = accumulate(sizes, initial=0)
+        self.first = dict(zip(families, starts))
 
     def index(self, state) -> int:
-        return self._by_state[state]
+        if isinstance(state, tuple):
+            fam, ell = state
+            if fam in self.phased and 1 <= ell <= self.k:
+                return self.first[fam] + ell - 1
+        elif state in self.first and state not in self.phased:
+            return self.first[state]
+        raise KeyError(state)
 
     def state(self, index: int):
-        return self._by_index[index]
+        if not 0 <= index < self.size:
+            raise KeyError(index)
+        return self.states()[index]
 
     def states(self):
-        return list(self._by_state)
+        return [(fam, ell) if fam in self.phased else fam for fam in self.first
+                for ell in range(1, (self.k if fam in self.phased else 1) + 1)]
 
     def as_dict(self) -> dict:
         """JSON-friendly map from symbolic labels to dense indices."""
         return {f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s): idx
-                for s, idx in self._by_state.items()}
+                for idx, s in enumerate(self.states())}
 
 
 class FpStateIndex(_StateIndex):
@@ -140,16 +146,45 @@ class RmcStateIndex(_StateIndex):
         super().__init__(k, 7, range(1, 6))
 
 
+def _triplets(idx: _StateIndex, frozen: dict, unfrozen: list, step: float,
+              first: dict | None = None):
+    """COO triplets ``(rows, cols, rates)`` of a generator, diagonal included.
+
+    ``frozen`` maps each phased family to ``(exit, moves)``: every phase
+    advances at ``step`` to the next, the last to the first state of
+    ``exit``, and each ``(dst, rate)`` of ``moves`` leaves every phase for
+    the same phase of ``dst`` (or a singleton ``dst``). ``unfrozen`` lists
+    ``(src, dst, rate)`` moves of singletons. ``first`` adds destinations
+    beyond the index, such as absorbing columns. Each family's moves are
+    built as ``(moves, k)`` blocks.
+    """
+    first = {**idx.first, **(first or {})}
+    blocks, exits = [], []  # (source, destination, keeps the phase, rate)
+    for fam, (exit_, moves) in frozen.items():
+        exits.append((len(blocks), first[exit_]))
+        blocks.append((first[fam], first[fam] + 1, True, step))
+        blocks += [(first[fam], first[dst], dst in idx.phased, rate)
+                   for dst, rate in moves]
+    src, dst, same, rate = (np.array(col) for col in zip(*blocks))
+    ell = np.arange(idx.k)
+    cols = dst[:, None] + ell * same[:, None]
+    ladder, exit_state = zip(*exits)
+    cols[list(ladder), -1] = exit_state
+    single = np.array([(first[s], first[d]) for s, d, _ in unfrozen]).T
+    rows = np.concatenate(((src[:, None] + ell).ravel(), single[0]))
+    rates = np.concatenate((np.repeat(rate, idx.k), [r for *_, r in unfrozen]))
+    diag = np.arange(idx.size)
+    return (np.concatenate((rows, diag)), np.concatenate((cols.ravel(), single[1], diag)),
+            np.concatenate((rates, -np.bincount(rows, rates, minlength=idx.size))))
+
+
 def fp_aoi_mask(k: int) -> np.ndarray:
     """Selector of the post-delivery states, where the cycle chain
     overlaps the age sawtooth: families (11,·), (12,·), (13,·) and state
     14 — ``3k + 1`` states in total."""
     idx = FpStateIndex(k)
     mask = np.zeros(idx.size)
-    for fam in (11, 12, 13):
-        for ell in range(1, idx.k + 1):
-            mask[idx.index((fam, ell))] = 1.0
-    mask[idx.index(14)] = 1.0
+    mask[idx.first[11]:idx.first[14] + 1] = 1.0  # laid out contiguously
     return mask
 
 
@@ -172,68 +207,45 @@ def build_fp_amc(p: FpParams) -> AbsorbingChain:
     packet preempted (failure). Use :func:`fp_initial_vector` to attach
     the initial distribution.
     """
-    k = p.k
     a, b, step = p.mu1, p.mu2, p.k * p.freeze_rate
-    idx = FpStateIndex(k)
+    idx = FpStateIndex(p.k)
     n = idx.size
-    S = np.zeros((n, n))
-    V = np.zeros((n, 2))
-
-    def move(src, dst, rate):
-        S[idx.index(src), idx.index(dst)] += rate
-
-    def absorb(src, col, rate):
-        V[idx.index(src), col] += rate
-
-    for ell in range(1, k + 1):
-        last = ell == k
+    ok, lost = "success", "failure"
+    frozen = {
         # tagged alone in service; a delivery from it idles both servers
-        move((1, ell), (4, 1) if last else (1, ell + 1), step)
-        move((1, ell), (11, ell), a)
-        move((2, ell), (8, 1) if last else (2, ell + 1), step)
-        move((2, ell), (11, ell), b)
+        1: (4, [(11, a)]),
+        2: (8, [(11, b)]),
         # tagged on server 1 behind a fresher packet: completion of the
         # fresher packet preempts the tagged one
-        move((4, ell), 3 if last else (4, ell + 1), step)
-        move((4, ell), (13, ell), a)
-        absorb((4, ell), 1, b)
+        4: (3, [(13, a), (lost, b)]),
         # tagged on server 1 ahead of a staler packet: delivering the
         # tagged packet obsoletes the other, which is removed mid-freeze
-        move((6, ell), 5 if last else (6, ell + 1), step)
-        move((6, ell), (11, ell), a)
-        move((6, ell), (1, ell), b)
+        6: (5, [(11, a), (1, b)]),
         # mirror images with the tagged packet on server 2
-        move((8, ell), 7 if last else (8, ell + 1), step)
-        absorb((8, ell), 1, a)
-        move((8, ell), (12, ell), b)
-        move((10, ell), 9 if last else (10, ell + 1), step)
-        move((10, ell), (2, ell), a)
-        move((10, ell), (11, ell), b)
+        8: (7, [(lost, a), (12, b)]),
+        10: (9, [(2, a), (11, b)]),
         # post-delivery frozen states
-        move((11, ell), (12, 1) if last else (11, ell + 1), step)
-        move((12, ell), 14 if last else (12, ell + 1), step)
-        absorb((12, ell), 0, a)
-        move((13, ell), 14 if last else (13, ell + 1), step)
-        absorb((13, ell), 0, b)
+        11: (12, []),
+        12: (14, [(ok, a)]),
+        13: (14, [(ok, b)]),
+    }
     # unfrozen singletons: a completion immediately triggers a fresh
     # transmission (server 1 preferred when both are free)
-    move(3, 14, a)
-    absorb(3, 1, b)
-    move(5, (12, 1), a)
-    move(5, (4, 1), b)
-    absorb(7, 1, a)
-    move(7, 14, b)
-    move(9, (8, 1), a)
-    move(9, (12, 1), b)
-    absorb(14, 0, a + b)
-
-    np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
-    return AbsorbingChain(S, V, None, fp_aoi_mask(k), success_col=0,
+    unfrozen = [(3, 14, a), (3, lost, b), (5, 12, a), (5, 4, b),
+                (7, lost, a), (7, 14, b), (9, 8, a), (9, 12, b),
+                (14, ok, a + b)]
+    rows, cols, rates = _triplets(idx, frozen, unfrozen, step,
+                                  first={ok: n, lost: n + 1})
+    into_S = cols < n
+    V = np.zeros((n, 2))
+    np.add.at(V, (rows[~into_S], cols[~into_S] - n), rates[~into_S])
+    S = sparse.coo_array((rates[into_S], (rows[into_S], cols[into_S])), shape=(n, n))
+    return AbsorbingChain(S, V, None, fp_aoi_mask(p.k), success_col=0,
                           meta=p.meta())
 
 
-def build_fp_rmc(p: FpParams) -> np.ndarray:
-    """Generator of the recurrent chain seen at an arbitrary time.
+def build_fp_rmc(p: FpParams) -> sparse.csr_array:
+    """CSR generator of the recurrent chain seen at an arbitrary time.
 
     States (families carry the freeze phase): (1,·) both servers idle,
     (2,·) server 1 busy alone, (3,·) server 2 busy alone, (4,·) both
@@ -242,43 +254,24 @@ def build_fp_rmc(p: FpParams) -> np.ndarray:
     counterparts of (4,·) and (5,·). The chain is irreducible for every
     valid parameter set.
     """
-    k = p.k
     a, b, step = p.mu1, p.mu2, p.k * p.freeze_rate
-    idx = RmcStateIndex(k)
-    n = idx.size
-    P = np.zeros((n, n))
-
-    def move(src, dst, rate):
-        P[idx.index(src), idx.index(dst)] += rate
-
-    for ell in range(1, k + 1):
-        last = ell == k
-        move((1, ell), (2, 1) if last else (1, ell + 1), step)
-        move((2, ell), (4, 1) if last else (2, ell + 1), step)
-        move((2, ell), (1, ell), a)
-        move((3, ell), (5, 1) if last else (3, ell + 1), step)
-        move((3, ell), (1, ell), b)
-        move((4, ell), 6 if last else (4, ell + 1), step)
-        move((4, ell), (3, ell), a)
-        move((4, ell), (1, ell), b)
-        move((5, ell), 7 if last else (5, ell + 1), step)
-        move((5, ell), (1, ell), a)
-        move((5, ell), (2, ell), b)
-    move(6, (5, 1), a)
-    move(6, (2, 1), b)
-    move(7, (2, 1), a)
-    move(7, (4, 1), b)
-    np.fill_diagonal(P, -P.sum(axis=1))
-    return P
+    idx = RmcStateIndex(p.k)
+    frozen = {1: (2, []), 2: (4, [(1, a)]), 3: (5, [(1, b)]),
+              4: (6, [(3, a), (1, b)]), 5: (7, [(1, a), (2, b)])}
+    unfrozen = [(6, 5, a), (6, 2, b), (7, 2, a), (7, 4, b)]
+    rows, cols, rates = _triplets(idx, frozen, unfrozen, step)
+    return sparse.csr_array((rates, (rows, cols)), shape=(idx.size, idx.size))
 
 
 @dataclass(frozen=True)
 class StationarySolution:
-    """Stationary distribution of the recurrent chain and the overall
-    packet-generation intensity it implies."""
+    """Stationary distribution of the recurrent chain, the packet-generation
+    intensity it implies, its balance residual and the clipped mass."""
 
     pi: np.ndarray
     packet_rate: float
+    residual: float
+    clip: float
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float).copy()
@@ -286,14 +279,15 @@ class StationarySolution:
         object.__setattr__(self, "pi", pi)
 
 
-def rmc_stationary(P: np.ndarray, p: FpParams,
+def rmc_stationary(P, p: FpParams,
                    residual_tol: float = 1e-10) -> StationarySolution:
     """Solve ``pi P = 0, pi 1 = 1`` and derive the packet-generation rate.
 
-    The last balance equation is replaced by the normalization and the
-    square system solved by LU. New packets are generated when a freeze
-    ends with a server free (families 1-3 at phase ``k``) or when a
-    delivery frees a server while not frozen (states 6 and 7), so::
+    ``P`` is sparse or dense. With the last component pinned to one, the
+    leading ``(n-1) x (n-1)`` block is solved by sparse LU; then normalized.
+    New packets are generated when a freeze ends with a server free
+    (families 1-3 at phase ``k``) or when a delivery frees a server while
+    not frozen (states 6 and 7), so::
 
         packet_rate = k*freeze_rate * (pi[1,k] + pi[2,k] + pi[3,k])
                       + (mu1 + mu2) * (pi[6] + pi[7])
@@ -304,20 +298,23 @@ def rmc_stationary(P: np.ndarray, p: FpParams,
         If the solved vector leaves a residual above ``residual_tol``
         or a NaN one (a malformed or reducible generator).
     """
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    A = P.T.copy()
-    A[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(A, rhs)
-    residual = float(np.max(np.abs(pi @ P)))
-    scale = max(1.0, float(np.max(np.abs(np.diag(P)))))
+    P = sparse.csr_array(P, dtype=float)
+    m = P.shape[0] - 1
+    try:
+        head = splu(P[:m, :m].T).solve(-P[m:, :m].toarray()[0])
+    except RuntimeError:  # exactly singular block: no solution, NaN residual
+        head = np.full(m, np.nan)
+    pi = np.append(head, 1.0)
+    pi /= pi.sum()
+    # a vector that is not finite has no residual; NaN fails the check
+    residual = float(np.max(np.abs(P.T @ pi))) if np.all(np.isfinite(pi)) else math.nan
+    scale = max(1.0, float(np.max(np.abs(P.diagonal()))))
     if not residual <= residual_tol * scale:
         raise RuntimeError(
             f"stationary solve residual {residual:.3e} exceeds tolerance")
     if np.any(pi < -1e-12):
         raise RuntimeError("stationary solve produced negative probabilities")
+    clip = max(0.0, -float(pi.min()))
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
 
@@ -326,7 +323,7 @@ def rmc_stationary(P: np.ndarray, p: FpParams,
     freeze_end = sum(pi[idx.index((fam, p.k))] for fam in (1, 2, 3))
     unfrozen = pi[idx.index(6)] + pi[idx.index(7)]
     rate = step * freeze_end + (p.mu1 + p.mu2) * unfrozen
-    return StationarySolution(pi, float(rate))
+    return StationarySolution(pi, float(rate), residual, clip)
 
 
 def fp_initial_vector(p: FpParams, st: StationarySolution) -> np.ndarray:
@@ -346,20 +343,14 @@ def fp_initial_vector(p: FpParams, st: StationarySolution) -> np.ndarray:
     The result is zero except at the indices of states (1,1), (10,1) and
     (6,1), and sums to one.
     """
-    ridx = RmcStateIndex(p.k)
-    pi = st.pi
-    step = p.k * p.freeze_rate
-    f = st.packet_rate
-    p1 = (step * pi[ridx.index((1, p.k))] + p.mu2 * pi[ridx.index(6)]
-          + p.mu1 * pi[ridx.index(7)]) / f
-    p2 = (step * pi[ridx.index((2, p.k))] + p.mu2 * pi[ridx.index(7)]) / f
-    p3 = (step * pi[ridx.index((3, p.k))] + p.mu1 * pi[ridx.index(6)]) / f
-
-    idx = FpStateIndex(p.k)
+    ridx, idx = RmcStateIndex(p.k), FpStateIndex(p.k)
+    end1, end2, end3 = (p.k * p.freeze_rate * st.pi[ridx.index((fam, p.k))]
+                        for fam in (1, 2, 3))
+    pi6, pi7 = st.pi[ridx.index(6)], st.pi[ridx.index(7)]
     init = np.zeros(idx.size)
-    init[idx.index((1, 1))] = p1
-    init[idx.index((10, 1))] = p2
-    init[idx.index((6, 1))] = p3
+    init[idx.first[1]] = (end1 + p.mu2 * pi6 + p.mu1 * pi7) / st.packet_rate
+    init[idx.first[10]] = (end2 + p.mu2 * pi7) / st.packet_rate
+    init[idx.first[6]] = (end3 + p.mu1 * pi6) / st.packet_rate
     return init
 
 
@@ -398,4 +389,6 @@ def build_fp_model(p: FpParams) -> AbsorbingChain:
     if math.isinf(p.freeze_rate):
         return _build_preempt_only(p)
     st = rmc_stationary(build_fp_rmc(p), p)
-    return build_fp_amc(p).with_init(fp_initial_vector(p, st))
+    return build_fp_amc(p).with_init(fp_initial_vector(p, st),
+                                     stationary_residual=st.residual,
+                                     stationary_clip=st.clip)

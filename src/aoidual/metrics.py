@@ -136,7 +136,7 @@ def _law(chain: AbsorbingChain, kind: str) -> _Law:
         w = chain.aoi_mask
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    return _Law(chain.S, chain.require_init(), w, chain.solve_right)
+    return _Law(chain.S_csc, chain.require_init(), w, chain.solve_right)
 
 
 def paoi_pdf(chain: AbsorbingChain, x):
@@ -185,7 +185,7 @@ def _table(chain: AbsorbingChain, kind: str, grid_spec: GridSpec,
     moments = law.moments(3)
     mean, m2 = moments[0], moments[1]
     grid = grid_spec.build(mean)
-    proj, info = expm_action_grid(chain.S, grid, law.init, law.W,
+    proj, info = expm_action_grid(chain.S_csc, grid, law.init, law.W,
                                   full_output=True)
     pdf, raw = law.pdf_cdf(proj)
     cdf = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))

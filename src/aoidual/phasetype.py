@@ -13,17 +13,16 @@ threads.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, exp, factorial, lgamma, log, log2
 from types import MappingProxyType
 from typing import Mapping
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse import csr_matrix
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 #: Tolerance for structural checks (row sums, probability normalization).
 #: Scaled by the largest rate in a row so that chains with very large
@@ -61,30 +60,44 @@ def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
     return out
 
 
-def _factor_or_raise(S: np.ndarray):
-    """LU-factor a transient block, raising if any state is recurrent."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        try:
-            lu, piv = lu_factor(S)
-        except Exception as err:
-            raise ValueError("S is singular: not all states are transient") from err
-    if np.any(np.diag(lu) == 0.0):
-        raise ValueError("S is singular: not all states are transient")
-    return lu, piv
-
-
-def _check_subgenerator(S: np.ndarray, name: str = "S") -> None:
-    """Validate sign structure and row sums of a sub-generator block."""
-    diag = np.diag(S)
-    off = S - np.diag(diag)
-    if np.any(off < 0):
-        raise ValueError(f"{name} has negative off-diagonal entries")
+def _factored(S):
+    """CSC copy of a sub-generator block, dense or sparse, and its sparse LU
+    factor, validated on the stored entries: nonnegative off-diagonal
+    rates, nonpositive diagonal and row sums, every state transient."""
+    if sparse.issparse(S):
+        Q = sparse.csc_array(S, dtype=float, copy=True)
+        Q.sum_duplicates()
+        if not np.all(np.isfinite(Q.data)):
+            raise ValueError("S contains non-finite entries")
+    else:
+        Q = sparse.csc_array(_as_float_array(S, "S", 2))
+    n = Q.shape[0]
+    if Q.shape != (n, n):
+        raise ValueError("S must be square")
+    cols = np.repeat(np.arange(n), np.diff(Q.indptr))
+    if np.any(Q.data[Q.indices != cols] < 0):
+        raise ValueError("S has negative off-diagonal entries")
+    diag = Q.diagonal()
     if np.any(diag > 0):
-        raise ValueError(f"{name} has positive diagonal entries")
-    scale = np.maximum(1.0, np.abs(diag))
-    if np.any(S.sum(axis=1) > STRUCT_TOL * scale):
-        raise ValueError(f"{name} has rows summing to more than zero")
+        raise ValueError("S has positive diagonal entries")
+    row_sums = np.bincount(Q.indices, Q.data, minlength=n)
+    if np.any(row_sums > STRUCT_TOL * np.maximum(1.0, np.abs(diag))):
+        raise ValueError("S has rows summing to more than zero")
+    try:
+        return Q, splu(Q)
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise ValueError("S is singular: not all states are transient") from err
+
+
+def _checked_init(init, n: int) -> np.ndarray:
+    init = _as_float_array(init, "init", 1)
+    if init.shape != (n,):
+        raise ValueError("init has the wrong length")
+    if np.any(init < 0):
+        raise ValueError("init has negative entries")
+    if abs(init.sum() - 1.0) > STRUCT_TOL:
+        raise ValueError("init does not sum to one")
+    return init
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +133,11 @@ class PhaseType:
             raise ValueError("sigma has negative entries")
         if sigma.sum() > 1.0 + STRUCT_TOL:
             raise ValueError("sigma sums to more than one")
-        _check_subgenerator(S)
+        S_csc, lu = _factored(S)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "S", S)
-        self._lu  # fail fast on a singular S
-
-    @cached_property
-    def _lu(self):
-        return _factor_or_raise(self.S)
+        object.__setattr__(self, "S_csc", S_csc)
+        object.__setattr__(self, "_lu", lu)
 
     @property
     def order(self) -> int:
@@ -140,11 +150,11 @@ class PhaseType:
 
     def solve_right(self, b: np.ndarray) -> np.ndarray:
         """Return ``S^{-1} b`` for a column vector ``b``."""
-        return lu_solve(self._lu, b)
+        return self._lu.solve(b)
 
     @cached_property
     def _law(self) -> "_Law":
-        return _Law(self.S, self.sigma, self.nu, self.solve_right, 1.0)
+        return _Law(self.S_csc, self.sigma, self.nu, self.solve_right, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +168,12 @@ class AbsorbingChain:
     transient states whose occupancy overlaps the age sawtooth, and
     ``success_col`` names the column of ``V`` that ends a cycle with a
     fresh reception.
+
+    The block is given dense or sparse and held as the CSC matrix
+    ``S_csc`` with one sparse LU factor, which every computation uses.
     """
 
-    S: np.ndarray
+    S_csc: sparse.csc_array
     V: np.ndarray
     init: np.ndarray | None
     aoi_mask: np.ndarray
@@ -168,20 +181,16 @@ class AbsorbingChain:
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        S = _as_float_array(self.S, "S", 2)
+        S_csc, lu = _factored(self.S_csc)
         V = _as_float_array(self.V, "V", 2)
         mask = _as_float_array(self.aoi_mask, "aoi_mask", 1)
-        n = S.shape[0]
-        if S.shape != (n, n):
-            raise ValueError("S must be square")
+        n = S_csc.shape[0]
         if V.shape[0] != n:
             raise ValueError("V must have the same number of rows as S")
         if np.any(V < 0):
             raise ValueError("V has negative entries")
-        _check_subgenerator(S)
-        diag = np.abs(np.diag(S))
-        scale = np.maximum(1.0, diag)
-        resid = np.abs(S.sum(axis=1) + V.sum(axis=1))
+        scale = np.maximum(1.0, np.abs(S_csc.diagonal()))
+        resid = np.abs(S_csc.sum(axis=1) + V.sum(axis=1))
         if np.any(resid > STRUCT_TOL * scale):
             raise ValueError("rows of [S V] do not sum to zero")
         if mask.shape != (n,) or np.any((mask != 0) & (mask != 1)):
@@ -190,38 +199,36 @@ class AbsorbingChain:
             raise ValueError("aoi_mask selects no state")
         if not 0 <= self.success_col < V.shape[1]:
             raise ValueError(f"success_col {self.success_col} out of range")
-        init = self.init
-        if init is not None:
-            init = _as_float_array(init, "init", 1)
-            if init.shape != (n,):
-                raise ValueError("init has the wrong length")
-            if np.any(init < 0):
-                raise ValueError("init has negative entries")
-            if abs(init.sum() - 1.0) > STRUCT_TOL:
-                raise ValueError("init does not sum to one")
-        object.__setattr__(self, "S", S)
+        if self.init is not None:
+            object.__setattr__(self, "init", _checked_init(self.init, n))
+        object.__setattr__(self, "S_csc", S_csc)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "init", init)
         object.__setattr__(self, "aoi_mask", mask)
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
-        self._lu
+        object.__setattr__(self, "_lu", lu)
 
     @cached_property
-    def _lu(self):
-        return _factor_or_raise(self.S)
+    def S(self) -> np.ndarray:
+        """The dense transient block, built when first read."""
+        S = self.S_csc.toarray()
+        S.flags.writeable = False
+        return S
 
     @property
     def order(self) -> int:
-        return self.S.shape[0]
+        return self.S_csc.shape[0]
 
     @property
     def n_absorbing(self) -> int:
         return self.V.shape[1]
 
-    def with_init(self, init) -> "AbsorbingChain":
-        """Return a copy of this chain carrying the given initial vector."""
-        return AbsorbingChain(self.S, self.V, init, self.aoi_mask,
-                              self.success_col, dict(self.meta))
+    def with_init(self, init, **meta) -> "AbsorbingChain":
+        """Return a copy carrying ``init`` and ``meta`` added to its
+        metadata; it shares the validated blocks and the factor."""
+        chain = copy.copy(self)
+        object.__setattr__(chain, "init", _checked_init(init, self.order))
+        object.__setattr__(chain, "meta", MappingProxyType({**self.meta, **meta}))
+        return chain
 
     def require_init(self) -> np.ndarray:
         if self.init is None:
@@ -230,11 +237,11 @@ class AbsorbingChain:
 
     def solve_right(self, b: np.ndarray) -> np.ndarray:
         """Return ``S^{-1} b``."""
-        return lu_solve(self._lu, b)
+        return self._lu.solve(b)
 
     def solve_left(self, v: np.ndarray) -> np.ndarray:
         """Return ``v S^{-1}``."""
-        return lu_solve(self._lu, v, trans=1)
+        return self._lu.solve(v, trans="T")
 
     def dump_csv(self, directory) -> list:
         """Write S, V, init and aoi_mask as dense CSV files for auditing."""
@@ -261,14 +268,12 @@ class AbsorbingChain:
 # matrix exponential action
 # ---------------------------------------------------------------------------
 
-def _uniformized(S: np.ndarray):
-    """Return (P, rate) with ``S = rate * (P - I)`` and ``P`` substochastic."""
-    rate = float(np.max(-np.diag(S), initial=0.0))
-    if rate == 0.0:
-        return np.eye(S.shape[0]), 0.0
-    P = S / rate
-    P[np.diag_indices_from(P)] += 1.0
-    return P, rate
+def _uniformized(S):
+    """Return (P, rate) with ``S = rate * (P - I)`` and ``P`` substochastic,
+    as a CSR matrix, from the sparse ``S``."""
+    rate = float(np.max(-S.diagonal(), initial=0.0))
+    eye = sparse.eye_array(S.shape[0], format="csr")
+    return sparse.csr_array(S / rate + eye if rate > 0.0 else eye), rate
 
 
 def _poisson_window(mass, tail: float):
@@ -328,15 +333,16 @@ def _step(X: np.ndarray, P: np.ndarray, mass: float, terms: int) -> np.ndarray:
     return acc
 
 
-def _squaring(P: np.ndarray, masses: np.ndarray, v: np.ndarray):
+def _squaring(P, masses: np.ndarray, v: np.ndarray):
     """``v expm(S x)`` at each mass ``rate * x`` from a step matrix squared.
 
     The step matrix of mass ``m / 2^s <= _MAX_STEP_MASS`` is a Poisson
-    series in the dense ``P``, truncated at ``EXPM_TAIL / 2^s`` so that
-    its ``2^s``-th power is within ``EXPM_TAIL``. The cost is
+    series in ``P``, made dense here, truncated at ``EXPM_TAIL / 2^s`` so
+    that its ``2^s``-th power is within ``EXPM_TAIL``. The cost is
     ``O(log(m))`` dense products per point, independent of the mass.
     Returns the rows and the largest discarded Poisson mass.
     """
+    P = P.toarray()
     rows, tail = [], 0.0
     for mass in masses:
         s = max(0, ceil(log2(mass / _MAX_STEP_MASS)))
@@ -350,7 +356,7 @@ def _squaring(P: np.ndarray, masses: np.ndarray, v: np.ndarray):
     return np.array(rows), tail
 
 
-def _single_pass(P: np.ndarray, masses: np.ndarray, v: np.ndarray, W):
+def _single_pass(P, masses: np.ndarray, v: np.ndarray, W):
     """``v expm(S x) W`` at each mass ``rate * x`` (ascending) from one walk.
 
     The walk forms ``u_j = v P^j`` once, for ``j`` up to the Poisson right
@@ -365,8 +371,7 @@ def _single_pass(P: np.ndarray, masses: np.ndarray, v: np.ndarray, W):
     left, right = _poisson_window(masses, EXPM_TAIL)
     log_mass = np.log(masses)[:, None]
     # u @ P as PT @ u
-    dense = v.shape[0] <= _DENSE_ORDER
-    PT = np.ascontiguousarray(P.T) if dense else csr_matrix(P.T)
+    PT = P.T.toarray() if v.shape[0] <= _DENSE_ORDER else P.T.tocsr()
     width = v.shape[0] if W is None else W.shape[1]
     acc = np.zeros((masses.shape[0], width))
     norm = np.zeros(masses.shape[0])
@@ -418,7 +423,7 @@ def expm_action(S, x: float, v) -> np.ndarray:
 
     Parameters
     ----------
-    S : array_like
+    S : array_like or sparse matrix
         Sub-generator (square).
     x : float
         Nonnegative time.
@@ -444,7 +449,8 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
     than with the number of points; with ``W`` only the projections of
     the walk onto the columns of ``W`` are kept. For few points at a huge
     mass a step matrix is squared instead; the choice depends only on the
-    mass, the number of points and the order of ``S``.
+    mass, the number of points and the order of ``S``, which may be
+    dense or sparse.
 
     Returns an array of shape ``(len(xs), W.shape[1])``, or
     ``(len(xs), len(v))`` without ``W``. With ``full_output`` it returns
@@ -458,11 +464,12 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
     RuntimeError
         If the discarded Poisson mass exceeds ``EXPM_TAIL``.
     """
-    S = np.asarray(S, dtype=float)
+    S = S if sparse.issparse(S) else np.asarray(S, dtype=float)
     v = np.asarray(v, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")
+    S = sparse.csc_array(S, dtype=float)
     if v.shape != (S.shape[0],):
         raise ValueError(f"v has shape {v.shape}, expected ({S.shape[0]},)")
     if W is not None:
@@ -485,7 +492,7 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
     out[:zero] = at_zero
     mass = float(masses[-1]) if zero < masses.shape[0] else 0.0
     squaring = _prefer_squaring(mass, masses.shape[0] - zero, S.shape[0],
-                                int(np.count_nonzero(P)))
+                                P.count_nonzero())
     tail = 0.0
     if squaring:
         rows, tail = _squaring(P, masses[zero:], v)
@@ -549,7 +556,7 @@ class _Law:
 
     def moments(self, count: int) -> list:
         """The first ``count`` moments, by repeated right solves against
-        the cached LU factors; the inverse is never formed."""
+        the cached LU factor; the inverse is never formed."""
         out, vec = [], self.y
         for i in range(1, count + 1):
             vec = self.solve_right(vec)

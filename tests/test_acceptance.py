@@ -140,7 +140,7 @@ def test_criterion_8_freezing_never_helps_peak_age():
     rates = np.logspace(np.log10(0.05), np.log10(100.0), 30)
     worst = np.inf
     for mu1 in (0.1, 0.5):
-        limit = paoi_mean(build_fp_model(FpParams(mu1, 0.1, 1e8, 50)))
+        limit = paoi_mean(build_fp_model(preempt_only_params(mu1, 0.1)))
         for rate in rates:
             margin = paoi_mean(build_fp_model(FpParams(mu1, 0.1, rate, 50))) - limit
             worst = min(worst, margin)

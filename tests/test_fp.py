@@ -154,7 +154,7 @@ class TestRmc:
 
     def test_unfrozen_fresher_on_two_state(self):
         p = FpParams(0.9, 0.2, 3.0, 4)
-        P = build_fp_rmc(p)
+        P = build_fp_rmc(p).toarray()
         idx = RmcStateIndex(4)
         row = P[idx.index(6)].copy()
         assert row[idx.index((5, 1))] == p.mu1
@@ -165,7 +165,7 @@ class TestRmc:
 
     def test_idle_family_has_single_exit(self):
         p = FpParams(0.9, 0.2, 3.0, 4)
-        P = build_fp_rmc(p)
+        P = build_fp_rmc(p).toarray()
         idx = RmcStateIndex(4)
         for ell in range(1, 4):
             row = P[idx.index((1, ell))].copy()
@@ -180,6 +180,7 @@ class TestRmc:
             p = FpParams(*mu, rng.uniform(0.1, 10.0), int(rng.integers(1, 10)))
             P = build_fp_rmc(p)
             st = rmc_stationary(P, p)
+            P = P.toarray()
             assert np.max(np.abs(st.pi @ P)) <= 1e-10 * max(1.0, np.abs(np.diag(P)).max())
             assert st.pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(st.pi > 0.0)  # irreducible chain
@@ -193,7 +194,7 @@ class TestRmc:
 
     def test_nan_generator_signalled(self):
         p = FpParams(1.0, 0.5, 1.0, 2)
-        P = build_fp_rmc(p)
+        P = build_fp_rmc(p).toarray()
         P[0, 1] = np.nan
         with pytest.raises(RuntimeError, match="residual"):
             rmc_stationary(P, p)
@@ -212,7 +213,7 @@ class TestRmc:
     def test_occupancy_against_event_simulation(self):
         # long-run oracle: 1e7 jump events, batch-means standard errors
         p = FpParams(0.7, 0.3, 0.9, 2)
-        P = build_fp_rmc(p)
+        P = build_fp_rmc(p).toarray()
         st = rmc_stationary(P, p)
         frac, se = _simulate_rmc_occupancy(P, n_events=10_000_000, seed=42)
         for i in range(P.shape[0]):
@@ -368,3 +369,116 @@ class TestPreemptOnlyChain:
         assert meta["policy"] == "fp_preempt_only" and meta["swapped"]
         assert (meta["mu1"], meta["mu2"]) == (1.0, 0.3)
         assert "freeze_rate" not in meta and "k" not in meta
+
+
+def _dense_means(chain):
+    """Mean age and mean peak age solved densely from ``chain.S``."""
+    means = []
+    for w in (chain.aoi_mask, chain.V[:, chain.success_col]):
+        y = np.linalg.solve(chain.S, w)
+        means.append(float(chain.init @ np.linalg.solve(chain.S, y))
+                     / -float(chain.init @ y))
+    return means
+
+
+class TestSparseChain:
+    """The sparse, once-factored chain against dense solves and its sizes."""
+
+    #: Fig. 3 (mu1, mu2, freeze rate) = (0.5, 0.1, 1): pinned (mean age,
+    #: mean peak age) by Erlang order.
+    FIG3_MEANS = {1: (3.5681912650650345, 4.07380690639944),
+                  10: (3.4148343489686597, 3.920047386542909),
+                  50: (3.4046771897006667, 3.9031314715068115)}
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_means_match_dense_solves(self, k):
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, k))
+        means = (aoi_mean(chain), paoi_mean(chain))
+        for got, dense, pinned in zip(means, _dense_means(chain), self.FIG3_MEANS[k]):
+            assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert got == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+    def test_sizes_at_k50(self):
+        p = FpParams(0.5, 0.1, 1.0, 50)
+        chain = build_fp_model(p)
+        assert chain.order == 455 and chain.S_csc.nnz == 1311
+        assert np.count_nonzero(chain.S) == 1311
+        assert build_fp_rmc(p).shape == (252, 252)
+
+    def test_library_paths_never_densify(self):
+        from aoidual import GridSpec, summarize
+
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 50))
+        summarize(chain, GridSpec(points=200))
+        aoi_mean(chain), paoi_mean(chain)
+        assert "S" not in vars(chain)
+        dense = chain.S  # built on first read, then kept
+        assert "S" in vars(chain) and chain.S is dense
+        np.testing.assert_array_equal(dense, chain.S_csc.toarray())
+        assert not dense.flags.writeable
+
+    def test_with_init_shares_the_factor(self):
+        amc = build_fp_amc(FpParams(0.5, 0.1, 1.0, 4))
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 4))
+        again = amc.with_init(chain.init, note=1)
+        assert again._lu is amc._lu and again.S_csc is amc.S_csc
+        assert amc.init is None and again.meta["note"] == 1
+        with pytest.raises(ValueError, match="sum to one"):
+            amc.with_init(2.0 * chain.init)
+
+    def test_order_1000_builds(self):
+        # a dense S would take 650 MB here
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 1000))
+        assert chain.order == 9005 and "S" not in vars(chain)
+        assert 0.0 < aoi_mean(chain) < paoi_mean(chain) < math.inf
+
+    def test_erlang_gaps_shrink_as_one_over_k(self):
+        # the O(1/k) approach to the deterministic freeze: each doubling of
+        # k halves the distance to the limit
+        ages = [aoi_mean(build_fp_model(FpParams(0.5, 0.1, 1.0, k)))
+                for k in (100, 200, 400, 800)]
+        gaps = np.abs(np.diff(ages))
+        assert np.all((1.95 <= gaps[:-1] / gaps[1:]) & (gaps[:-1] / gaps[1:] <= 2.05))
+
+
+class TestStationaryDiagnostics:
+    def test_residual_and_clip_reach_the_summary(self, tmp_path):
+        from aoidual import GridSpec, summarize
+
+        p = FpParams(0.5, 0.1, 1.0, 3)
+        P = build_fp_rmc(p)
+        st = rmc_stationary(P, p)
+        assert 0.0 <= st.residual <= 1e-14 and st.clip == 0.0
+        assert np.max(np.abs(st.pi @ P.toarray())) <= 1e-14
+        chain = build_fp_model(p)
+        assert chain.meta["stationary_residual"] == st.residual
+        assert chain.meta["stationary_clip"] == st.clip
+        path = tmp_path / "summary.json"
+        summarize(chain, GridSpec(points=50)).to_json(path)
+        payload = json.loads(path.read_text())
+        for meta in (payload["meta"], payload["aoi_table"]["meta"]):
+            assert meta["stationary_residual"] == st.residual
+            assert meta["stationary_clip"] == st.clip
+
+    def test_clipped_mass_is_reported(self, monkeypatch):
+        # a solver returning a slightly negative entry: the clip removes
+        # it, and says by how much (the residual check is relaxed, as the
+        # entry replaced is not small)
+        import aoidual.fp as fp_module
+
+        real = fp_module.splu
+
+        class Perturbed:
+            def __init__(self, A):
+                self.lu = real(A)
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                x[0] = -1e-14
+                return x
+
+        monkeypatch.setattr(fp_module, "splu", Perturbed)
+        p = FpParams(0.5, 0.1, 1.0, 3)
+        st = rmc_stationary(build_fp_rmc(p), p, residual_tol=1.0)
+        assert st.pi[0] == 0.0 and st.pi.sum() == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 < st.clip <= 1e-14

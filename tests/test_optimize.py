@@ -11,6 +11,7 @@ from aoidual import (
     golden_section_min,
     optimize_freeze,
     paoi_mean,
+    preempt_only_params,
     zw_closed_form_means,
 )
 
@@ -91,7 +92,7 @@ class TestSampledShapes:
     def test_freezing_never_improves_peak_age(self):
         # peak age at any finite rate stays above the no-freeze limit
         for mu1 in (0.1, 0.5):
-            limit = paoi_mean(build_fp_model(FpParams(mu1, 0.1, 1e8, 50)))
+            limit = paoi_mean(build_fp_model(preempt_only_params(mu1, 0.1)))
             sampled = [paoi_mean(build_fp_model(FpParams(mu1, 0.1, rate, 50)))
                        for rate in self.RATES[::4]]
             assert all(v >= limit - 1e-9 for v in sampled)
