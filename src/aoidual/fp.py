@@ -283,8 +283,9 @@ def rmc_stationary(P, p: FpParams,
                    residual_tol: float = 1e-10) -> StationarySolution:
     """Solve ``pi P = 0, pi 1 = 1`` and derive the packet-generation rate.
 
-    ``P`` is sparse or dense. With the last component pinned to one, the
-    leading ``(n-1) x (n-1)`` block is solved by sparse LU; then normalized.
+    ``P`` is sparse or dense. State (1,1) is pinned to one (it is never
+    exponentially rare, unlike the unfrozen states), the trailing block is
+    solved by sparse LU, and the vector normalized.
     New packets are generated when a freeze ends with a server free
     (families 1-3 at phase ``k``) or when a delivery frees a server while
     not frozen (states 6 and 7), so::
@@ -299,12 +300,11 @@ def rmc_stationary(P, p: FpParams,
         or a NaN one (a malformed or reducible generator).
     """
     P = sparse.csr_array(P, dtype=float)
-    m = P.shape[0] - 1
     try:
-        head = splu(P[:m, :m].T).solve(-P[m:, :m].toarray()[0])
+        tail = splu(P[1:, 1:].T).solve(-P[:1, 1:].toarray()[0])
     except RuntimeError:  # exactly singular block: no solution, NaN residual
-        head = np.full(m, np.nan)
-    pi = np.append(head, 1.0)
+        tail = np.full(P.shape[0] - 1, np.nan)
+    pi = np.append(1.0, tail)
     pi /= pi.sum()
     # a vector that is not finite has no residual; NaN fails the check
     residual = float(np.max(np.abs(P.T @ pi))) if np.all(np.isfinite(pi)) else math.nan

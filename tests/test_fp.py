@@ -205,6 +205,22 @@ class TestRmc:
         with pytest.raises(RuntimeError, match="residual"):
             rmc_stationary(build_fp_rmc(p), p)
 
+    def test_vanishing_last_state(self):
+        # fast servers, long near-deterministic freezes: the unfrozen
+        # states are almost never reached (pi[-1] underflows to 0), so the
+        # solve must not scale by them; compare with a dense bordered solve
+        p = FpParams(1e5, 1e5, 0.01, 200)
+        P = build_fp_rmc(p)
+        A = P.toarray().T
+        A[-1] = 1.0
+        dense = np.linalg.solve(A, np.eye(A.shape[0])[-1])
+        st = rmc_stationary(P, p)
+        np.testing.assert_allclose(st.pi, dense, rtol=1e-10, atol=1e-16)
+        assert st.pi[-1] < 1e-100
+        chain = build_fp_model(p)
+        assert aoi_mean(chain) == pytest.approx(50.250009999999946, rel=1e-12)
+        assert paoi_mean(chain) == pytest.approx(100.00000999999999, rel=1e-12)
+
     def test_packet_rate_bounds(self):
         p = FpParams(0.5, 0.1, 1.0, 1)
         st = rmc_stationary(build_fp_rmc(p), p)
@@ -474,11 +490,11 @@ class TestStationaryDiagnostics:
 
             def solve(self, b):
                 x = self.lu.solve(b)
-                x[0] = -1e-14
+                x[-1] = -1e-14
                 return x
 
         monkeypatch.setattr(fp_module, "splu", Perturbed)
         p = FpParams(0.5, 0.1, 1.0, 3)
         st = rmc_stationary(build_fp_rmc(p), p, residual_tol=1.0)
-        assert st.pi[0] == 0.0 and st.pi.sum() == pytest.approx(1.0, abs=1e-15)
+        assert st.pi[-1] == 0.0 and st.pi.sum() == pytest.approx(1.0, abs=1e-15)
         assert 0.0 < st.clip <= 1e-14
