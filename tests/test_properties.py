@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aoidual import FpParams, GridSpec, build_fp_model, summarize
+from aoidual import FpParams, GridSpec, aoi_mean, build_fp_model, paoi_mean, summarize
 
 rates = st.floats(min_value=0.1, max_value=10.0)
 orders = st.integers(min_value=1, max_value=4)
@@ -32,3 +32,20 @@ def test_means_invariant_under_swapped_rates(mu1, mu2, freeze_rate, k):
                   GridSpec(points=50))
     assert b.mean_aoi == pytest.approx(a.mean_aoi, rel=1e-12)
     assert b.mean_paoi == pytest.approx(a.mean_paoi, rel=1e-12)
+
+
+@given(mu1=st.floats(min_value=1e-3, max_value=1e5),
+       mu2=st.floats(min_value=1e-3, max_value=1e5),
+       freeze_rate=st.floats(min_value=1e-3, max_value=1e8),
+       k=st.integers(min_value=1, max_value=60))
+def test_sparse_solves_match_dense_over_extreme_rates(mu1, mu2, freeze_rate, k):
+    # rate ratios up to 1e11: the stationary solve stays finite and the
+    # sparse factor's means agree with dense solves of the same chain
+    chain = build_fp_model(FpParams(mu1, mu2, freeze_rate, k))
+    assert chain.meta["stationary_residual"] >= 0.0
+    for w, mean in ((chain.aoi_mask, aoi_mean(chain)),
+                    (chain.V[:, chain.success_col], paoi_mean(chain))):
+        y = np.linalg.solve(chain.S, w)
+        dense = float(chain.init @ np.linalg.solve(chain.S, y)) / -float(chain.init @ y)
+        assert 0.0 < mean < np.inf
+        assert mean == pytest.approx(dense, rel=1e-9)
