@@ -3,7 +3,7 @@ update systems.
 
 Exact distributions and moments of the age and peak-age processes under
 the zero-wait and freeze/preempt policies, computed from absorbing
-Markov chain representations; an event-driven simulator for validation;
+Markov chain representations; a simulator for validation;
 and a golden-section optimizer for the freeze rate.
 """
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Four subcommands: ``analyze`` evaluates the exact distributions,
-``simulate`` runs the event-driven simulator, ``optimize`` searches the
+``simulate`` runs the simulator, ``optimize`` searches the
 freeze rate, and ``figure`` writes plot-ready CSV data for the standard
 experiments. Every run writes a manifest sufficient to reproduce it.
 
@@ -111,22 +111,14 @@ def cmd_analyze(args) -> int:
     summary.to_json(paths[0])
     summary.aoi_table.to_csv(paths[1])
     summary.paoi_table.to_csv(paths[2])
-    _write_manifest(outdir, "analyze", summary_params(args), paths, started)
+    fields = {**_flag_values(args), "grid_points": args.grid_points,
+              "grid_max": args.grid_max}
+    _write_manifest(outdir, "analyze",
+                    {k: v for k, v in fields.items() if v is not None},
+                    paths, started)
     print(f"mean_aoi={summary.mean_aoi:.12g} mean_paoi={summary.mean_paoi:.12g}")
     print(f"wrote {outdir}")
     return 0
-
-
-def summary_params(args) -> dict:
-    out = {"policy": args.policy, "mu1": args.mu1, "mu2": args.mu2}
-    if getattr(args, "freeze_rate", None) is not None:
-        out["lambda"] = args.freeze_rate
-    if getattr(args, "k", None) is not None:
-        out["k"] = args.k
-    for key in ("grid_points", "grid_max", "cycles", "warmup", "seed", "reps"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            out[key] = getattr(args, key)
-    return out
 
 
 def _sim_config_from_args(args) -> SimConfig:
@@ -176,8 +168,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.time()
-    if args.k is None:
-        raise UsageError("--k is required")
     result = optimize_freeze(args.mu1, args.mu2, args.k,
                              bracket=(args.bracket_lo, args.bracket_hi),
                              rtol=args.rtol)
@@ -311,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--out", help="output directory")
     pa.set_defaults(func=cmd_analyze)
 
-    ps = sub.add_parser("simulate", help="event-driven simulation")
+    ps = sub.add_parser("simulate", help="simulation")
     ps.add_argument("--config", help="JSON run description")
     ps.add_argument("--policy", choices=POLICIES, default=ZW)
     ps.add_argument("--mu1", type=float)

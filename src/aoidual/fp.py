@@ -55,8 +55,8 @@ class FpParams:
     swapped: bool = False
 
     def __post_init__(self):
-        if not (self.mu1 > 0 and self.mu2 > 0):
-            raise ValueError("service rates must be positive")
+        if not (0 < self.mu1 < np.inf and 0 < self.mu2 < np.inf):
+            raise ValueError("service rates must be positive and finite")
         if not self.freeze_rate > 0:
             raise ValueError("freeze_rate must be positive")
         if int(self.k) != self.k or self.k < 1:

@@ -1,17 +1,26 @@
-"""Event-driven simulation of the dual-server status update system.
+"""Simulation of the dual-server status update system.
 
-Simulates the generate-at-will system under the zero-wait and
-freeze/preempt policies at the level of individual events (service
-completions, freeze expirations), recording the age sawtooth exactly:
-per cycle the starting age ``u`` and length ``L`` give the time-average
-age contribution ``u L + L^2 / 2`` with no time discretization, and the
-pre-reception peaks are recorded per successful reception.
+Simulates the generate-at-will system under its three policies and
+records the age sawtooth exactly: per cycle the starting age ``u`` and
+length ``L`` give the time-average age contribution ``u L + L^2 / 2``
+with no time discretization, and the pre-reception peaks are recorded
+per fresh reception.
+
+Under zero wait and preemption-only both servers are always busy, so by
+memorylessness their completions merge into one Poisson stream of rate
+``mu1 + mu2`` whose events belong to server 1 with probability
+``mu1 / (mu1 + mu2)``, restarts included. These two policies are array
+code over that stream: a delivered packet was generated at its server's
+latest earlier restart, the monitor's discard rule is a running maximum,
+and preemptions follow from which server holds the fresher packet.
+Freeze/preempt, whose freezes leave servers idle, runs event by event.
 
 Replications draw from independent counter-based streams (Philox keyed
 by seed and replication index), so results are bit-reproducible and
-replications could run in any order. Exponential variates are drawn by
-inversion and Erlang variates as sums of exponentials, in buffered
-blocks to keep the event loop lean.
+replications could run in any order. The merged stream draws its gaps
+and marks in blocks of ``horizon`` events; the freeze/preempt loop draws
+exponential variates by inversion and Erlang variates as sums of
+exponentials, in buffered blocks to keep it lean.
 """
 
 from __future__ import annotations
@@ -190,98 +199,121 @@ def _rep_rng(seed: int, rep: int):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _run_zw(mu1, mu2, horizon, warmup, rng):
-    e1 = _ErlangSampler(rng, 1, mu1)
-    e2 = _ErlangSampler(rng, 1, mu2)
-    n_cycles = horizon - warmup - 1
-    u_arr = np.empty(n_cycles)
-    len_arr = np.empty(n_cycles)
-    peak_arr = np.empty(n_cycles)
-    # both servers start fresh packets at t = 0
-    seq = 2
-    g1 = g2 = 0.0
-    s1, s2 = 1, 2
-    c1 = e1()
-    c2 = e2()
-    last_seq = 0
-    last_gen = 0.0
-    accepted = 0
-    discards = 0
-    ci = 0
-    prev_d = prev_u = 0.0
-    while accepted < horizon:
-        if c1 <= c2:
-            t = c1
-            g, s = g1, s1
-            seq += 1
-            g1, s1 = t, seq
-            c1 = t + e1()
-        else:
-            t = c2
-            g, s = g2, s2
-            seq += 1
-            g2, s2 = t, seq
-            c2 = t + e2()
-        if s > last_seq:
-            accepted += 1
-            if accepted > warmup + 1:
-                u_arr[ci] = prev_u
-                len_arr[ci] = t - prev_d
-                peak_arr[ci] = t - last_gen
-                ci += 1
-            prev_d = t
-            prev_u = t - g
-            last_seq = s
-            last_gen = g
-        else:
-            discards += 1
-    stats = {"monitor_discards": discards, "preemptions": 0,
+def _block(rng, mu1, mu2, n):
+    """``n`` completions of both servers merged: gaps and server-1 marks."""
+    total = mu1 + mu2
+    return rng.standard_exponential(n) / total, rng.random(n) < mu1 / total
+
+
+def _latest(flags):
+    """Index of the latest earlier event where ``flags`` holds, -1 if none."""
+    idx = np.where(flags, np.arange(flags.shape[0]), -1)
+    return np.concatenate(([-1], np.maximum.accumulate(idx)[:-1]))
+
+
+def _started(t, m1, restart1, restart2):
+    """Restart index (-1: t = 0) and generation time of each delivery."""
+    start = np.where(m1, _latest(restart1), _latest(restart2))
+    return start, np.concatenate(([0.0], t))[start + 1]
+
+
+def _run_zw(mu1, mu2, horizon, rng):
+    gaps, marks = [], []
+    while True:
+        gap, mark = _block(rng, mu1, mu2, horizon)
+        gaps.append(gap)
+        marks.append(mark)
+        m1 = np.concatenate(marks)
+        t = np.cumsum(np.concatenate(gaps))
+        start, gen = _started(t, m1, m1, ~m1)
+        # sequence order: by restart event, and server 2's t = 0 packet is
+        # the fresher; a reception is fresh when it beats every earlier one
+        seq = 2 * start + ~m1
+        fresh = np.flatnonzero(seq == np.maximum.accumulate(seq))
+        if fresh.shape[0] >= horizon:
+            break
+    fresh = fresh[:horizon]
+    stats = {"monitor_discards": int(fresh[-1]) + 1 - horizon, "preemptions": 0,
              "out_of_order_deliveries": 0, "entry_counts": (0, 0, 0),
-             "elapsed": prev_d}
-    return u_arr, len_arr, peak_arr, stats
+             "elapsed": float(t[fresh[-1]])}
+    return t[fresh], gen[fresh], stats
 
 
-def _run_fp(mu1, mu2, freeze_rate, k, horizon, warmup, rng, freezing):
+def _run_po(mu1, mu2, horizon, rng):
+    gaps, m1 = _block(rng, mu1, mu2, horizon)
+    t = np.cumsum(gaps)
+    # Every delivery is fresh. Server 2 leads (holds the fresher packet) at
+    # t = 0 and after each of its deliveries and each preemption (both
+    # restart, server 2 second); r server-1 deliveries since then leave
+    # server 1 leading exactly when r is odd. The leader's delivery
+    # preempts the other server.
+    run = np.arange(horizon) - _latest(~m1) - 1
+    preempt = m1 == (run % 2 == 1)
+    _, gen = _started(t, m1, m1 | preempt, ~m1 | preempt)
+    n_pre = int(np.count_nonzero(preempt))
+    # server 2 restarts at t = 0 and at every event but a lone server-1 restart
+    alone1 = int(np.count_nonzero(m1 & ~preempt))
+    stats = {"monitor_discards": 0, "preemptions": n_pre,
+             "out_of_order_deliveries": 0,
+             "entry_counts": (1 + n_pre, 1 + horizon - alone1, alone1),
+             "elapsed": float(t[-1])}
+    return t, gen, stats
+
+
+def _run_fp(mu1, mu2, freeze_rate, k, horizon, rng):
     e1 = _ErlangSampler(rng, 1, mu1)
     e2 = _ErlangSampler(rng, 1, mu2)
-    erl = _ErlangSampler(rng, k, freeze_rate) if freezing else None
-    n_cycles = horizon - warmup - 1
-    u_arr = np.empty(n_cycles)
-    len_arr = np.empty(n_cycles)
-    peak_arr = np.empty(n_cycles)
-    # bootstrap: fresh packet on server 1 at t = 0; without freezing the
-    # idle server 2 is filled immediately as well
+    erl = _ErlangSampler(rng, k, freeze_rate)
+    # bootstrap: fresh packet on server 1 at t = 0, and a freeze
     seq = 1
     g1, s1 = 0.0, 1
     c1 = e1()
     c2 = _INF
     g2, s2 = 0.0, 0
     ent1, ent2, ent3 = 1, 0, 0
-    if freezing:
-        fz = erl()
-    else:
-        fz = _INF
-        seq += 1
-        g2, s2 = 0.0, seq
-        c2 = e2()
-        ent2 += 1
+    fz = erl()
     last_seq = 0
-    last_gen = 0.0
-    accepted = 0
     preempts = 0
     out_of_order = 0
-    ci = 0
-    prev_d = prev_u = 0.0
+    accepted = 0
+    delivered = np.empty(horizon)
+    generated = np.empty(horizon)
     while accepted < horizon:
         if c1 <= c2:
             cmin, which = c1, 1
         else:
             cmin, which = c2, 2
         if fz < cmin:
-            # freeze expired; a free server gets a fresh packet and a new
-            # freeze starts (server 1 preferred)
-            t = fz
+            t = fz  # the freeze expired
             fz = _INF
+        else:
+            t = cmin
+            if which == 1:
+                g, s = g1, s1
+                c1 = _INF
+            else:
+                g, s = g2, s2
+                c2 = _INF
+            if s <= last_seq:
+                # cannot happen: stale packets are preempted before completing
+                out_of_order += 1
+            else:
+                delivered[accepted] = t
+                generated[accepted] = g
+                accepted += 1
+                last_seq = s
+                # the delivery may have made the other in-service packet
+                # obsolete
+                if which == 1:
+                    if c2 != _INF and s2 < last_seq:
+                        c2 = _INF
+                        preempts += 1
+                elif c1 != _INF and s1 < last_seq:
+                    c1 = _INF
+                    preempts += 1
+        if fz == _INF:
+            # not frozen: a free server gets a fresh packet and a new
+            # freeze starts (server 1 preferred)
             if c1 == _INF:
                 seq += 1
                 g1, s1 = t, seq
@@ -297,74 +329,21 @@ def _run_fp(mu1, mu2, freeze_rate, k, horizon, warmup, rng, freezing):
                 c2 = t + e2()
                 fz = t + erl()
                 ent2 += 1
-            continue
-        t = cmin
-        if which == 1:
-            g, s = g1, s1
-            c1 = _INF
-        else:
-            g, s = g2, s2
-            c2 = _INF
-        if s <= last_seq:
-            # cannot happen: stale packets are preempted before completing
-            out_of_order += 1
-        else:
-            accepted += 1
-            if accepted > warmup + 1:
-                u_arr[ci] = prev_u
-                len_arr[ci] = t - prev_d
-                peak_arr[ci] = t - last_gen
-                ci += 1
-            prev_d = t
-            prev_u = t - g
-            last_seq = s
-            last_gen = g
-            # the delivery may have made the other in-service packet obsolete
-            if which == 1:
-                if c2 != _INF and s2 < last_seq:
-                    c2 = _INF
-                    preempts += 1
-            elif c1 != _INF and s1 < last_seq:
-                c1 = _INF
-                preempts += 1
-        if fz == _INF:
-            # not frozen: transmit immediately on a free server
-            if freezing:
-                if c1 == _INF:
-                    seq += 1
-                    g1, s1 = t, seq
-                    c1 = t + e1()
-                    fz = t + erl()
-                    if c2 == _INF:
-                        ent1 += 1
-                    else:
-                        ent3 += 1
-                elif c2 == _INF:
-                    seq += 1
-                    g2, s2 = t, seq
-                    c2 = t + e2()
-                    fz = t + erl()
-                    ent2 += 1
-            else:
-                # preemption-only: zero-length freezes fill every free
-                # server, fastest first
-                if c1 == _INF:
-                    seq += 1
-                    g1, s1 = t, seq
-                    c1 = t + e1()
-                    if c2 == _INF:
-                        ent1 += 1
-                    else:
-                        ent3 += 1
-                if c2 == _INF:
-                    seq += 1
-                    g2, s2 = t, seq
-                    c2 = t + e2()
-                    ent2 += 1
     stats = {"monitor_discards": 0, "preemptions": preempts,
              "out_of_order_deliveries": out_of_order,
-             "entry_counts": (ent1, ent2, ent3), "elapsed": prev_d}
-    return u_arr, len_arr, peak_arr, stats
+             "entry_counts": (ent1, ent2, ent3), "elapsed": t}
+    return delivered, generated, stats
+
+
+def _cycles(delivered, generated, warmup):
+    """Per-cycle records after ``warmup`` fresh receptions.
+
+    A cycle runs between consecutive fresh receptions: it starts at the
+    age of the first and peaks just before the second.
+    """
+    d = delivered[warmup:]
+    g = generated[warmup:]
+    return d[:-1] - g[:-1], np.diff(d), d[1:] - g[:-1]
 
 
 def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
@@ -414,15 +393,13 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
     for rep in range(cfg.replications):
         rng = _rep_rng(cfg.seed, rep)
         if cfg.policy == ZW:
-            u, length, peak, stats = _run_zw(
-                p.mu1, p.mu2, cfg.horizon, cfg.warmup, rng)
+            d, g, stats = _run_zw(p.mu1, p.mu2, cfg.horizon, rng)
+        elif cfg.policy == FP:
+            d, g, stats = _run_fp(p.mu1, p.mu2, p.freeze_rate, p.k,
+                                  cfg.horizon, rng)
         else:
-            freezing = cfg.policy == FP
-            freeze_rate = p.freeze_rate if freezing else 1.0
-            k = p.k if freezing else 1
-            u, length, peak, stats = _run_fp(
-                p.mu1, p.mu2, freeze_rate, k, cfg.horizon, cfg.warmup,
-                rng, freezing)
+            d, g, stats = _run_po(p.mu1, p.mu2, cfg.horizon, rng)
+        u, length, peak = _cycles(d, g, cfg.warmup)
         rep_aoi[rep] = (u * length + 0.5 * length * length).sum() / length.sum()
         rep_paoi[rep] = peak.mean()
         all_u.append(u)

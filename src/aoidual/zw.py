@@ -38,8 +38,8 @@ class ZwParams:
     swapped: bool = False
 
     def __post_init__(self):
-        if not (self.mu1 > 0 and self.mu2 > 0):
-            raise ValueError("service rates must be positive")
+        if not (0 < self.mu1 < np.inf and 0 < self.mu2 < np.inf):
+            raise ValueError("service rates must be positive and finite")
         fast, slow = float(self.mu1), float(self.mu2)
         if fast < slow:
             fast, slow = slow, fast

@@ -94,7 +94,8 @@ class TestAnalyze:
              "--grid-points", "100", "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "analyze"
-        assert manifest["parameters"]["mu1"] == 2.0
+        assert manifest["parameters"] == {"policy": "zw", "mu1": 2.0, "mu2": 1.0,
+                                          "grid_points": 100, "grid_max": 40.0}
         assert "summary.json" in manifest["outputs"]
         assert manifest["duration_s"] >= 0.0
 
@@ -176,6 +177,16 @@ class TestSimulate:
         assert run(["simulate", "--config", str(cfg_path),
                     "--out", str(tmp_path / "x")]) == 2
         assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_infinite_rate_exits_two(self, tmp_path, capsys, command):
+        argv = [command, "--policy", "zw", "--mu1", "inf", "--mu2", "1",
+                "--out", str(tmp_path / "x")]
+        if command == "simulate":
+            argv += ["--cycles", "2000", "--reps", "1"]
+        assert run(argv) == 2
+        assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_flags_require_rates(self, tmp_path):

@@ -37,6 +37,11 @@ class TestParams:
             FpParams(1.0, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             FpParams(-1.0, 1.0, 1.0, 1)
+        for mu1, mu2 in ((math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                FpParams(mu1, mu2, 1.0, 1)
+        # an infinite freeze rate stays legal: it is preemption-only
+        assert math.isinf(FpParams(1.0, 1.0, math.inf, 1).freeze_rate)
 
     def test_rate_ordering(self):
         p = FpParams(0.1, 0.5, 1.0, 3)

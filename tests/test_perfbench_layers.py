@@ -1,13 +1,20 @@
 """The layer boundaries that ``perfbench --trace 1`` wraps exist and are
-crossed, so a refactor cannot silently empty the per-layer metrics."""
+crossed, so a refactor cannot silently empty the per-layer metrics, and
+every workload's smoke run passes its own checks."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from aoidual import ZwParams, build_zw_amc, metrics, phasetype
 
-LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "layers.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+LAYERS = os.path.join(PERFBENCH, "layers.py")
 
 
 def _layers():
@@ -44,3 +51,17 @@ def test_summarize_crosses_the_kernel_and_the_solves(monkeypatch):
     metrics.summarize(chain, metrics.GridSpec(points=20))
     assert calls.count("expm_action_grid") == 2  # one table per kind
     assert "solve_right" in calls
+
+
+@pytest.mark.parametrize("workload", ["tables", "sweep", "simulate"])
+def test_smoke_run_is_correct(workload):
+    # the benchmark checks every operation's output (the simulator's means
+    # among them) and traces every layer by name
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
+         "--smoke", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr[-2000:]
+    assert result["failed"] == 0

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from aoidual import (
     FP,
@@ -23,6 +24,7 @@ from aoidual import (
     summarize,
     zw_closed_form_means,
 )
+from aoidual import sim
 
 
 class TestConfigValidation:
@@ -133,6 +135,118 @@ class TestFreezePreempt:
                         replications=8)
         res = simulate(cfg)
         assert abs(res.mean_aoi - aoi_mean(build_fp_model(p))) <= 3.0 * res.se_aoi
+
+
+class _OldLoop:
+    """The former per-event loops' rules for zero wait and preemption-only.
+
+    Packets carry sequence numbers in order of generation (server 1's t = 0
+    packet is 1, server 2's is 2); a delivery is fresh when its number
+    exceeds the last fresh one. Each cycle is recorded as those loops did,
+    one reception at a time.
+    """
+
+    def __init__(self, mu1, mu2, n, warmup, rng):
+        self.n, self.warmup = n, warmup
+        self.events = self._stream(mu1, mu2, n, rng)
+        self.seq, self.last_seq = 2, 0
+        self.gen, self.num = [0.0, 0.0], [1, 2]
+        self.delivered, self.generated = [], []
+        self.u, self.length, self.peak = [], [], []
+        self.prev_d = self.prev_u = self.last_gen = 0.0
+
+    @staticmethod
+    def _stream(mu1, mu2, n, rng):
+        t = 0.0
+        while True:
+            gaps, marks = sim._block(rng, mu1, mu2, n)
+            for gap, m1 in zip(gaps.tolist(), marks.tolist()):
+                t += gap
+                yield t, 0 if m1 else 1
+
+    def _restart(self, server, t):
+        self.seq += 1
+        self.gen[server], self.num[server] = t, self.seq
+
+    def _accept(self, t, g, s):
+        self.delivered.append(t)
+        self.generated.append(g)
+        if len(self.delivered) > self.warmup + 1:
+            self.u.append(self.prev_u)
+            self.length.append(t - self.prev_d)
+            self.peak.append(t - self.last_gen)
+        self.prev_d, self.prev_u = t, t - g
+        self.last_seq, self.last_gen = s, g
+
+    def zero_wait(self):
+        discards = 0
+        while len(self.delivered) < self.n:
+            t, server = next(self.events)
+            g, s = self.gen[server], self.num[server]
+            self._restart(server, t)
+            if s > self.last_seq:
+                self._accept(t, g, s)
+            else:
+                discards += 1
+        return {"monitor_discards": discards, "preemptions": 0,
+                "entry_counts": (0, 0, 0)}
+
+    def preempt_only(self):
+        preempts, ent = 0, [1, 1, 0]
+        while len(self.delivered) < self.n:
+            t, server = next(self.events)
+            g, s = self.gen[server], self.num[server]
+            assert s > self.last_seq
+            self._accept(t, g, s)
+            free = [server == 0, server == 1]
+            other = 1 - server
+            if self.num[other] < self.last_seq:
+                free[other] = True
+                preempts += 1
+            # fill server 1, then server 2
+            if free[0]:
+                self._restart(0, t)
+                ent[0 if free[1] else 2] += 1
+            if free[1]:
+                self._restart(1, t)
+                ent[1] += 1
+        return {"monitor_discards": 0, "preemptions": preempts,
+                "entry_counts": tuple(ent)}
+
+
+class TestArrayPolicies:
+    """The array runners against the per-event rules on the same stream.
+
+    Reception times are distinct, so equal delivered-time lists mean equal
+    fresh flags.
+    """
+
+    @pytest.mark.parametrize("policy", [ZW, FP_PREEMPT_ONLY])
+    @given(mu1=st.floats(0.01, 10.0), log_ratio=st.floats(-3.0, 3.0),
+           n=st.integers(2, 3000), warm=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(mu1=1.0, log_ratio=0.0, n=50, warm=0.0, seed=0)
+    @example(mu1=1.0, log_ratio=-3.0, n=3000, warm=0.0, seed=1)
+    def test_match_the_event_rules(self, policy, mu1, log_ratio, n, warm, seed):
+        mu2 = mu1 * 10.0 ** log_ratio
+        warmup = int(warm * (n - 2))
+        old = _OldLoop(mu1, mu2, n, warmup, sim._rep_rng(seed, 0))
+        if policy == ZW:
+            ref = old.zero_wait()
+            d, g, stats = sim._run_zw(mu1, mu2, n, sim._rep_rng(seed, 0))
+        else:
+            ref = old.preempt_only()
+            d, g, stats = sim._run_po(mu1, mu2, n, sim._rep_rng(seed, 0))
+        assert d.tolist() == old.delivered
+        assert g.tolist() == old.generated
+        assert stats["elapsed"] == old.delivered[-1]
+        assert stats["out_of_order_deliveries"] == 0
+        for key, value in ref.items():
+            assert stats[key] == value, key
+        u, length, peak = sim._cycles(d, g, warmup)
+        assert u.tolist() == old.u
+        assert length.tolist() == old.length
+        assert peak.tolist() == old.peak
 
 
 class TestBookkeeping:

@@ -27,6 +27,12 @@ class TestParams:
         with pytest.raises(ValueError):
             ZwParams(mu1, mu2)
 
+    @pytest.mark.parametrize("mu1,mu2", [(np.inf, 1.0), (1.0, np.inf),
+                                         (np.nan, 1.0)])
+    def test_rejects_non_finite(self, mu1, mu2):
+        with pytest.raises(ValueError):
+            ZwParams(mu1, mu2)
+
 
 class TestChainStructure:
     def test_equal_rates_row_five(self):
