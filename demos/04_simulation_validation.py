@@ -1,8 +1,8 @@
-"""Validating the analytic models by event-driven simulation.
+"""Validating the analytic models by simulation.
 
-The simulator implements the system rules directly (service
-completions, freeze expirations, source preemption, monitor
-discarding), records the age sawtooth exactly, and is reproducible from
+The simulator applies the system rules (service completions, freeze
+expirations, source preemption, monitor discarding) as array code over
+whole runs, records the age sawtooth exactly, and is reproducible from
 a seed. Agreement with the chain-based distributions is measured as a
 sup distance between cdfs.
 """

@@ -13,21 +13,29 @@ memorylessness their completions merge into one Poisson stream of rate
 code over that stream: a delivered packet was generated at its server's
 latest earlier restart, the monitor's discard rule is a running maximum,
 and preemptions follow from which server holds the fresher packet.
-Freeze/preempt, whose freezes leave servers idle, runs event by event.
+
+Freeze/preempt is array code over the chain embedded at freeze starts.
+Each freeze starts with one packet assignment, in one of three entry
+states. A cycle draws its freeze length and both servers' service times
+(by memorylessness, the older packet's residual service is drawn
+afresh), and these map its entry state to the next one. The state
+sequence is a prefix scan over the composition of those maps (Blelloch
+1990); each cycle's deliveries, preemption and length then follow
+elementwise. An infinite freeze rate is simulated as preemption-only.
 
 Replications draw from independent counter-based streams (Philox keyed
 by seed and replication index), so results are bit-reproducible and
 replications could run in any order. The merged stream draws its gaps
-and marks in blocks of ``horizon`` events; the freeze/preempt loop draws
-exponential variates by inversion and Erlang variates as sums of
-exponentials, in buffered blocks to keep it lean.
+and marks in blocks of ``horizon`` events, freeze/preempt its gamma
+freezes and exponential services in fixed blocks of cycles.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from math import nan, sqrt
+from dataclasses import dataclass
+from itertools import product
+from math import inf, nan, sqrt
 from types import MappingProxyType
 from typing import Mapping
 
@@ -42,33 +50,6 @@ ZW = "zw"
 FP = "fp"
 FP_PREEMPT_ONLY = "fp_preempt_only"
 POLICIES = (ZW, FP, FP_PREEMPT_ONLY)
-
-_INF = float("inf")
-_BLOCK = 1 << 15
-
-
-class _ErlangSampler:
-    """Buffered Erlang-``k`` variates as sums of ``k`` exponentials."""
-
-    __slots__ = ("rng", "k", "rate", "buf", "pos")
-
-    def __init__(self, rng, k: int, rate: float):
-        self.rng = rng
-        self.k = k
-        self.rate = rate
-        self.buf = []
-        self.pos = 0
-
-    def __call__(self) -> float:
-        if self.pos == len(self.buf):
-            rows = max(256, _BLOCK // self.k)
-            u = self.rng.random((rows, self.k))
-            self.buf = ((-np.log1p(-u)).sum(axis=1) / (self.k * self.rate)).tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -260,79 +241,79 @@ def _run_po(mu1, mu2, horizon, rng):
     return t, gen, stats
 
 
-def _run_fp(mu1, mu2, freeze_rate, k, horizon, rng):
-    e1 = _ErlangSampler(rng, 1, mu1)
-    e2 = _ErlangSampler(rng, 1, mu2)
-    erl = _ErlangSampler(rng, k, freeze_rate)
-    # bootstrap: fresh packet on server 1 at t = 0, and a freeze
-    seq = 1
-    g1, s1 = 0.0, 1
-    c1 = e1()
-    c2 = _INF
-    g2, s2 = 0.0, 0
-    ent1, ent2, ent3 = 1, 0, 0
-    fz = erl()
-    last_seq = 0
-    preempts = 0
-    out_of_order = 0
-    accepted = 0
-    delivered = np.empty(horizon)
-    generated = np.empty(horizon)
-    while accepted < horizon:
-        if c1 <= c2:
-            cmin, which = c1, 1
-        else:
-            cmin, which = c2, 2
-        if fz < cmin:
-            t = fz  # the freeze expired
-            fz = _INF
-        else:
-            t = cmin
-            if which == 1:
-                g, s = g1, s1
-                c1 = _INF
-            else:
-                g, s = g2, s2
-                c2 = _INF
-            if s <= last_seq:
-                # cannot happen: stale packets are preempted before completing
-                out_of_order += 1
-            else:
-                delivered[accepted] = t
-                generated[accepted] = g
-                accepted += 1
-                last_seq = s
-                # the delivery may have made the other in-service packet
-                # obsolete
-                if which == 1:
-                    if c2 != _INF and s2 < last_seq:
-                        c2 = _INF
-                        preempts += 1
-                elif c1 != _INF and s1 < last_seq:
-                    c1 = _INF
-                    preempts += 1
-        if fz == _INF:
-            # not frozen: a free server gets a fresh packet and a new
-            # freeze starts (server 1 preferred)
-            if c1 == _INF:
-                seq += 1
-                g1, s1 = t, seq
-                c1 = t + e1()
-                fz = t + erl()
-                if c2 == _INF:
-                    ent1 += 1
-                else:
-                    ent3 += 1
-            elif c2 == _INF:
-                seq += 1
-                g2, s2 = t, seq
-                c2 = t + e2()
-                fz = t + erl()
-                ent2 += 1
+# Entry states of a freeze cycle: A, the new packet on server 1 with
+# server 2 idle; B, the new packet on server 2 with server 1 busy; C, the
+# new packet on server 1 with server 2 busy. A map {A,B,C} -> {A,B,C} is
+# coded f(A) * 9 + f(B) * 3 + f(C); _MAPS[code] = (f(A), f(B), f(C)).
+_MAPS = np.array(list(product(range(3), repeat=3)))
+_COMPOSE = (_MAPS[np.arange(27)[:, None, None], _MAPS[None]] @ [9, 3, 1]).ravel()
+_FP_CYCLES = 1 << 16  # freeze cycles drawn per block
+
+
+def _resolve(codes, s0):
+    """States ``s_0..s_n`` of ``s_{i+1} = f_i(s_i)`` for map codes ``f_i``.
+
+    A prefix scan: compose neighbouring maps, resolve the even states
+    recursively, then each odd state is one lookup from its predecessor.
+    """
+    s = np.empty(codes.shape[0] + 1, dtype=np.intp)
+    s[0] = s0
+    if codes.shape[0]:
+        s[2::2] = _resolve(_COMPOSE[27 * codes[1::2] + codes[:-1:2]], s0)[1:]
+        s[1::2] = _MAPS.ravel()[3 * codes[::2] + s[:-1:2]]
+    return s
+
+
+def _fp_block(rng, p):
+    """Freeze length and both servers' service times for each next cycle."""
+    f = rng.standard_gamma(p.k, _FP_CYCLES) / (p.k * p.freeze_rate)
+    return (f, rng.standard_exponential(_FP_CYCLES) / p.mu1,
+            rng.standard_exponential(_FP_CYCLES) / p.mu2)
+
+
+def _run_fp(p, horizon, rng):
+    # The chain embedded at freeze starts. Each cycle draws a freeze and a
+    # service time per server; by memorylessness the older packet's
+    # residual service is drawn afresh. A new packet finishing before the
+    # older one preempts it; the cycle ends at the freeze's end or, if
+    # later, at the first completion, when the freed server is refilled.
+    state, t, t_prev = 0, 0.0, 0.0
+    got = preempts = 0
+    entry = np.zeros(3, dtype=np.int64)
+    delivered, generated = [], []
+    while got < horizon:
+        f, x1, x2 = _fp_block(rng, p)
+        first1 = x1 <= x2  # ties go to server 1
+        in1, in2 = x1 <= f, x2 <= f  # completions at the freeze's end win
+        # A -> B unless the new packet finishes within the freeze; B -> C
+        # and C -> B unless it finishes first or within the freeze; else A
+        codes = 9 * ~in1 + 6 * (first1 & ~in2) + (~first1 & ~in1)
+        s = _resolve(codes, state)
+        s, state = s[:-1], s[-1]
+        a, b = s == 0, s == 1
+        new, old = np.where(b, x2, x1), np.where(b, x1, x2)
+        new_first = b != first1
+        pre = new_first & ~a
+        # per cycle: the old packet's delivery, then the new one's
+        ok = np.stack([~a & ~new_first, pre | np.where(b, in2, in1)], axis=1)
+        keep = np.flatnonzero(ok)[:horizon - got]
+        cycle, newer = keep >> 1, keep & 1
+        length = np.where(a, f, np.maximum(f, np.minimum(new, old)))
+        # T_{i-1} and T_i for cycle i at [i] and [i + 1]
+        times = np.concatenate(([t_prev], np.cumsum(np.concatenate(([t], length)))))
+        t_prev, t = times[-2], times[-1]
+        delivered.append(times[cycle + 1] + np.where(newer, new[cycle], old[cycle]))
+        generated.append(times[cycle + newer])
+        got += keep.shape[0]
+        # cycles up to the one that holds the last wanted reception
+        used = cycle[-1] + 1 if got == horizon else s.shape[0]
+        entry += np.bincount(s[:used], minlength=3)
+        preempts += int(np.count_nonzero(pre[:used]))
+    d = np.concatenate(delivered)
     stats = {"monitor_discards": 0, "preemptions": preempts,
-             "out_of_order_deliveries": out_of_order,
-             "entry_counts": (ent1, ent2, ent3), "elapsed": t}
-    return delivered, generated, stats
+             "out_of_order_deliveries": 0,
+             "entry_counts": tuple(entry.tolist()), "elapsed": float(d[-1])}
+    return d, np.concatenate(generated), stats
 
 
 def _cycles(delivered, generated, warmup):
@@ -394,10 +375,9 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
         rng = _rep_rng(cfg.seed, rep)
         if cfg.policy == ZW:
             d, g, stats = _run_zw(p.mu1, p.mu2, cfg.horizon, rng)
-        elif cfg.policy == FP:
-            d, g, stats = _run_fp(p.mu1, p.mu2, p.freeze_rate, p.k,
-                                  cfg.horizon, rng)
-        else:
+        elif cfg.policy == FP and p.freeze_rate < inf:
+            d, g, stats = _run_fp(p, cfg.horizon, rng)
+        else:  # preemption-only, also as the zero-length-freeze limit
             d, g, stats = _run_po(p.mu1, p.mu2, cfg.horizon, rng)
         u, length, peak = _cycles(d, g, cfg.warmup)
         rep_aoi[rep] = (u * length + 0.5 * length * length).sum() / length.sum()

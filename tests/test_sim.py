@@ -81,6 +81,15 @@ class TestDeterminism:
         other = SimConfig(ZwParams(1.0, 0.4), ZW, horizon=20_000, seed=6)
         assert simulate(base).mean_aoi != simulate(other).mean_aoi
 
+    def test_freeze_preempt_shorter_run_is_a_prefix(self):
+        # fixed-size draw blocks: the horizon decides where a run stops,
+        # not what it draws
+        p = FpParams(0.5, 0.1, 1.0, 3)
+        short = sim._run_fp(p, 50_000, sim._rep_rng(5, 0))
+        long = sim._run_fp(p, 150_000, sim._rep_rng(5, 0))
+        assert np.array_equal(short[0], long[0][:50_000])
+        assert np.array_equal(short[1], long[1][:50_000])
+
 
 class TestZeroWait:
     def test_means_match_closed_forms(self):
@@ -135,6 +144,33 @@ class TestFreezePreempt:
                         replications=8)
         res = simulate(cfg)
         assert abs(res.mean_aoi - aoi_mean(build_fp_model(p))) <= 3.0 * res.se_aoi
+
+    def test_infinite_freeze_rate_is_preempt_only(self):
+        from aoidual import preempt_only_params
+
+        p = preempt_only_params(1.0, 0.3)
+        fp, po = (simulate(SimConfig(p, policy, horizon=20_000, seed=7,
+                                     replications=2))
+                  for policy in (FP, FP_PREEMPT_ONLY))
+        assert np.array_equal(fp.samples.u, po.samples.u)
+        assert np.array_equal(fp.samples.length, po.samples.length)
+        assert np.array_equal(fp.samples.peak, po.samples.peak)
+        assert fp.mean_aoi == po.mean_aoi and fp.mean_paoi == po.mean_paoi
+        assert dict(fp.stats) == dict(po.stats)
+
+    @pytest.mark.parametrize("point", [(0.5, 0.1, 1.0, 10), (1.0, 0.001, 0.05, 5),
+                                       (1.0, 1.0, 1000.0, 2)])
+    def test_success_probability_matches_absorption(self, point):
+        from aoidual import absorption_probability
+
+        p = FpParams(*point)
+        chain = build_fp_model(p)
+        n = 200_000
+        res = simulate(SimConfig(p, FP, horizon=n, seed=43, replications=1),
+                       keep_samples=False)
+        simulated = n / sum(res.stats["entry_counts"])
+        exact = absorption_probability(chain, chain.success_col)
+        assert abs(simulated - exact) <= 5.0 / math.sqrt(n)
 
 
 class _OldLoop:
@@ -214,6 +250,60 @@ class _OldLoop:
                 "entry_counts": tuple(ent)}
 
 
+class _OldFreezeLoop(_OldLoop):
+    """The former freeze/preempt loop's rules, event by event.
+
+    Server 1 starts with packet 1 and a freeze. When no freeze runs, a
+    free server gets a fresh packet (server 1 first) and a new freeze
+    starts; a delivery preempts the other server's older packet. Each
+    freeze start takes the array runner's next per-cycle draws (F, X1, X2)
+    and re-arms the freeze and both busy servers' clocks from them.
+    """
+
+    def __init__(self, p, n, warmup, rng):
+        super().__init__(p.mu1, p.mu2, n, warmup, rng)
+        self.draws = self._cycle_draws(p, rng)
+        self.seq, self.num = 0, [0, 0]
+
+    @staticmethod
+    def _cycle_draws(p, rng):
+        while True:
+            yield from zip(*(b.tolist() for b in sim._fp_block(rng, p)))
+
+    def freeze_preempt(self):
+        inf = math.inf
+        clock = [inf, inf]
+        preempts, ent = 0, [0, 0, 0]
+        t, fz = 0.0, inf
+        while True:
+            if fz == inf:
+                free = [c == inf for c in clock]
+                if any(free):
+                    server = 0 if free[0] else 1
+                    ent[1 if server else 2 - 2 * free[1]] += 1
+                    self._restart(server, t)
+                    f, *x = next(self.draws)
+                    fz = t + f
+                    for s in (0, 1):
+                        if s == server or not free[s]:
+                            clock[s] = t + x[s]
+            which = 0 if clock[0] <= clock[1] else 1
+            if fz < clock[which]:
+                t, fz = fz, inf
+                continue
+            t, clock[which] = clock[which], inf
+            g, s = self.gen[which], self.num[which]
+            assert s > self.last_seq  # stale packets are preempted first
+            self._accept(t, g, s)
+            other = 1 - which
+            if clock[other] != inf and self.num[other] < s:
+                clock[other] = inf
+                preempts += 1
+            if len(self.delivered) == self.n:
+                return {"monitor_discards": 0, "preemptions": preempts,
+                        "entry_counts": tuple(ent)}
+
+
 class TestArrayPolicies:
     """The array runners against the per-event rules on the same stream.
 
@@ -237,6 +327,33 @@ class TestArrayPolicies:
         else:
             ref = old.preempt_only()
             d, g, stats = sim._run_po(mu1, mu2, n, sim._rep_rng(seed, 0))
+        assert d.tolist() == old.delivered
+        assert g.tolist() == old.generated
+        assert stats["elapsed"] == old.delivered[-1]
+        assert stats["out_of_order_deliveries"] == 0
+        for key, value in ref.items():
+            assert stats[key] == value, key
+        u, length, peak = sim._cycles(d, g, warmup)
+        assert u.tolist() == old.u
+        assert length.tolist() == old.length
+        assert peak.tolist() == old.peak
+
+    @given(mu1=st.floats(0.01, 10.0), log_ratio=st.floats(-3.0, 3.0),
+           log_freeze=st.floats(-2.0, 3.0), k=st.integers(1, 50),
+           n=st.integers(2, 3000), warm=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(mu1=1.0, log_ratio=0.0, log_freeze=0.0, k=1, n=50, warm=0.0, seed=0)
+    @example(mu1=1.0, log_ratio=-3.0, log_freeze=-1.3, k=5, n=3000, warm=0.0,
+             seed=1)
+    @example(mu1=1.0, log_ratio=0.0, log_freeze=3.0, k=2, n=3000, warm=0.0,
+             seed=2)
+    def test_freeze_preempt_matches_the_event_rules(self, mu1, log_ratio,
+                                                    log_freeze, k, n, warm, seed):
+        p = FpParams(mu1, mu1 * 10.0 ** log_ratio, 10.0 ** log_freeze, k)
+        warmup = int(warm * (n - 2))
+        old = _OldFreezeLoop(p, n, warmup, sim._rep_rng(seed, 0))
+        ref = old.freeze_preempt()
+        d, g, stats = sim._run_fp(p, n, sim._rep_rng(seed, 0))
         assert d.tolist() == old.delivered
         assert g.tolist() == old.generated
         assert stats["elapsed"] == old.delivered[-1]
