@@ -1,5 +1,4 @@
-"""Freeze/preempt policy: absorbing cycle chain and its companion
-recurrent chain.
+"""Freeze/preempt policy: absorbing cycle chain and its initial vector.
 
 Under freeze/preempt, every transmission start halts sampling and
 transmission for an Erlang-``k`` duration with mean ``1/freeze_rate``
@@ -12,11 +11,10 @@ a new freeze begins.
 The cycle between consecutive receptions is modeled by an absorbing
 chain over ``9k + 5`` transient states: nine state families carry the
 freeze phase ``1..k``, five singletons are not in freeze. Its initial
-vector cannot be written down directly; it follows from the stationary
-distribution of a recurrent chain over ``5k + 2`` states describing the
-system as seen at an arbitrary time, weighted by the rate at which new
-packets are generated in each state. The preemption-only limit (freezes
-of length zero) has an exact 5-state chain of its own.
+vector is in closed form: the stationary law of the three cycle states a
+packet starts in, seen from one freeze start to the next. A recurrent
+chain over ``5k + 2`` states is an independent reference for it. The
+preemption-only limit (freezes of length zero) has an exact 5-state chain.
 """
 
 from __future__ import annotations
@@ -326,31 +324,36 @@ def rmc_stationary(P, p: FpParams,
     return StationarySolution(pi, float(rate), residual, clip)
 
 
-def fp_initial_vector(p: FpParams, st: StationarySolution) -> np.ndarray:
-    """Distribution of the cycle-chain state in which a new packet starts.
+def _entry_chain(p: FpParams) -> np.ndarray:
+    """Transition matrix of the cycle state a new packet starts in, from
+    one freeze start to the next: A = (1,1), alone on server 1; B = (10,1),
+    on server 2 beside an older packet; C = (6,1), the mirror image.
 
-    A packet generated at a freeze end or delivery instant finds the
-    system in one of three configurations: alone on server 1 with server
-    2 idle (family 1), on server 2 next to an older packet on server 1
-    (family 10), or on server 1 next to an older packet on server 2
-    (family 6) — each entered at phase 1 of the freshly started freeze.
-    The probabilities weight the generating events by their rates::
+    With ``L(s) = (1 + s/(k*freeze_rate))^-k`` the freeze's Laplace
+    transform, A -> B w.p. ``L(mu1)`` (the new packet outlasts the freeze),
+    B -> C w.p. ``L(mu2) - mu2/(mu1+mu2) L(mu1+mu2)`` (the older packet
+    finishes first, the new one after the freeze), C -> B in the mirror
+    image, and every other move goes to A."""
+    a, b, k, step = p.mu1, p.mu2, p.k, p.k * p.freeze_rate
 
-        p1 = (k*freeze_rate * pi[1,k] + mu2 * pi[6] + mu1 * pi[7]) / packet_rate
-        p2 = (k*freeze_rate * pi[2,k] + mu2 * pi[7]) / packet_rate
-        p3 = (k*freeze_rate * pi[3,k] + mu1 * pi[6]) / packet_rate
+    def swap(new, old):  # the difference through L(new + old)/L(new), so none cancels
+        tail = math.expm1(-k * math.log1p(old / (step + new)))
+        return math.exp(-k * math.log1p(new / step)) * (old - new * tail) / (new + old)
 
-    The result is zero except at the indices of states (1,1), (10,1) and
-    (6,1), and sums to one.
-    """
-    ridx, idx = RmcStateIndex(p.k), FpStateIndex(p.k)
-    end1, end2, end3 = (p.k * p.freeze_rate * st.pi[ridx.index((fam, p.k))]
-                        for fam in (1, 2, 3))
-    pi6, pi7 = st.pi[ridx.index(6)], st.pi[ridx.index(7)]
+    ab, bc, cb = math.exp(-k * math.log1p(a / step)), swap(b, a), swap(a, b)
+    return np.array([[1 - ab, ab, 0], [1 - bc, 0, bc], [1 - cb, cb, 0]])
+
+
+def fp_initial_vector(p: FpParams) -> np.ndarray:
+    """Distribution of the cycle-chain state in which a new packet starts:
+    the stationary law of :func:`_entry_chain` (one packet per freeze
+    start), ``(1 - P_BC P_CB, P_AB, P_AB P_BC)`` normalized, on states
+    (1,1), (10,1) and (6,1)."""
+    P = _entry_chain(p)
+    pi = np.array([1.0 - P[1, 2] * P[2, 1], P[0, 1], P[0, 1] * P[1, 2]])
+    idx = FpStateIndex(p.k)
     init = np.zeros(idx.size)
-    init[idx.first[1]] = (end1 + p.mu2 * pi6 + p.mu1 * pi7) / st.packet_rate
-    init[idx.first[10]] = (end2 + p.mu2 * pi7) / st.packet_rate
-    init[idx.first[6]] = (end3 + p.mu1 * pi6) / st.packet_rate
+    init[[idx.first[1], idx.first[10], idx.first[6]]] = pi / pi.sum()
     return init
 
 
@@ -382,13 +385,10 @@ def _build_preempt_only(p: FpParams) -> AbsorbingChain:
 def build_fp_model(p: FpParams) -> AbsorbingChain:
     """Complete freeze/preempt cycle chain with its initial vector.
 
-    Runs the full pipeline: recurrent chain, stationary solve, initial
-    vector, absorbing chain. An infinite freeze rate gives the exact
+    One chain, factored once, with the closed-form initial vector of
+    :func:`fp_initial_vector`. An infinite freeze rate gives the exact
     preemption-only chain instead.
     """
     if math.isinf(p.freeze_rate):
         return _build_preempt_only(p)
-    st = rmc_stationary(build_fp_rmc(p), p)
-    return build_fp_amc(p).with_init(fp_initial_vector(p, st),
-                                     stationary_residual=st.residual,
-                                     stationary_clip=st.clip)
+    return build_fp_amc(p).with_init(fp_initial_vector(p))

@@ -10,7 +10,7 @@ zero-wait baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 from . import _io
 from .fp import FpParams, build_fp_model
@@ -110,6 +110,11 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
     tenfold on that side and the search retried once; a persistent edge
     hit is reported in ``boundary_hit``.
     """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0 < lo < hi < inf:
+        raise ValueError("bracket must satisfy 0 < lo < hi, both finite")
+    if not 0 < rtol < 1:
+        raise ValueError("rtol must lie in (0, 1)")
     cache: dict = {}
 
     def objective(rate: float) -> float:
@@ -117,9 +122,6 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
             cache[rate] = aoi_mean(build_fp_model(FpParams(mu1, mu2, rate, k)))
         return cache[rate]
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
     boundary_hit = False
     for attempt in range(2):
         x, f, evals = golden_section_min(objective, lo, hi, rtol=rtol)

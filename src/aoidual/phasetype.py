@@ -222,12 +222,10 @@ class AbsorbingChain:
     def n_absorbing(self) -> int:
         return self.V.shape[1]
 
-    def with_init(self, init, **meta) -> "AbsorbingChain":
-        """Return a copy carrying ``init`` and ``meta`` added to its
-        metadata; it shares the validated blocks and the factor."""
+    def with_init(self, init) -> "AbsorbingChain":
+        """Return a copy carrying ``init``; it shares the rest, the factor too."""
         chain = copy.copy(self)
         object.__setattr__(chain, "init", _checked_init(init, self.order))
-        object.__setattr__(chain, "meta", MappingProxyType({**self.meta, **meta}))
         return chain
 
     def require_init(self) -> np.ndarray:

@@ -57,6 +57,26 @@ def sample_absorption(chain, n, rng):
     return time, col
 
 
+def rmc_entry_vector(p):
+    """Entry probabilities of cycle states (1,1), (10,1) and (6,1), weighted
+    from the recurrent chain's stationary law.
+
+    A packet starts when a freeze ends with a server free (families 1-3 at
+    phase ``k``) or when a delivery frees a server outside a freeze (states
+    6 and 7); each event's rate picks the entry state. This is the
+    reference the closed-form ``fp_initial_vector`` is checked against.
+    """
+    from aoidual import RmcStateIndex, build_fp_rmc, rmc_stationary
+
+    st = rmc_stationary(build_fp_rmc(p), p)
+    idx = RmcStateIndex(p.k)
+    end1, end2, end3 = (p.k * p.freeze_rate * st.pi[idx.index((fam, p.k))]
+                        for fam in (1, 2, 3))
+    pi6, pi7 = st.pi[idx.index(6)], st.pi[idx.index(7)]
+    return np.array([end1 + p.mu2 * pi6 + p.mu1 * pi7, end2 + p.mu2 * pi7,
+                     end3 + p.mu1 * pi6]) / st.packet_rate
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250811)

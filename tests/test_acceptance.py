@@ -17,8 +17,6 @@ from aoidual import (
     build_zw_amc,
     fp_aoi_mask,
     fp_initial_vector,
-    build_fp_rmc,
-    rmc_stationary,
     ks_against_table,
     ks_distance,
     optimize_freeze,
@@ -174,8 +172,7 @@ def test_criterion_10_property_suite():
     for _ in range(5):
         p = FpParams(*rng.uniform(0.05, 4.0, size=2),
                      rng.uniform(0.05, 10.0), int(rng.integers(1, 12)))
-        st = rmc_stationary(build_fp_rmc(p), p)
-        checks.append(abs(fp_initial_vector(p, st).sum() - 1.0) <= 1e-12)
+        checks.append(abs(fp_initial_vector(p).sum() - 1.0) <= 1e-12)
 
     # mask cardinality 3k + 1
     checks.extend(fp_aoi_mask(k).sum() == 3 * k + 1 for k in (1, 5, 20))

@@ -212,6 +212,22 @@ class TestOptimize:
         payload = json.loads((out / "optimum.json").read_text())
         assert payload["boundary_hit"] is True
 
+    @pytest.mark.parametrize("flag,value,named", [("--rtol", "nan", "rtol"),
+                                                  ("--rtol", "inf", "rtol"),
+                                                  ("--bracket-hi", "inf", "bracket")])
+    def test_bad_tolerance_or_bracket_exits_two_unbuilt(self, tmp_path, monkeypatch,
+                                                        capsys, flag, value, named):
+        # rejected before any model is built, by an error naming the input
+        import aoidual.optimize as optimize_module
+
+        built = []
+        real = optimize_module.build_fp_model
+        monkeypatch.setattr(optimize_module, "build_fp_model",
+                            lambda p: built.append(p) or real(p))
+        assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "2", flag, value,
+                    "--out", str(tmp_path / "x")]) == 2
+        assert built == [] and named in capsys.readouterr().err
+
     def test_numerical_failure_exits_one(self, tmp_path):
         assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "1",
                     "--rtol", "1e-300", "--out", str(tmp_path / "x")]) == 1

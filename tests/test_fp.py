@@ -25,6 +25,8 @@ from aoidual import (
     rmc_stationary,
     simulate,
 )
+from aoidual.fp import _entry_chain
+from conftest import rmc_entry_vector
 
 PHASED = (1, 2, 4, 6, 8, 10, 11, 12, 13)
 
@@ -232,7 +234,7 @@ class TestRmc:
         assert 0.0 < st.packet_rate <= p.mu1 + p.mu2 + p.freeze_rate
 
     def test_occupancy_against_event_simulation(self):
-        # long-run oracle: 1e7 jump events, batch-means standard errors
+        # long-run oracle: 1e7 jump events over independent chains
         p = FpParams(0.7, 0.3, 0.9, 2)
         P = build_fp_rmc(p).toarray()
         st = rmc_stationary(P, p)
@@ -250,41 +252,25 @@ class TestRmc:
         assert rate_hat == pytest.approx(st.packet_rate, rel=0.01)
 
 
-def _simulate_rmc_occupancy(P, n_events, seed, n_batches=100):
+def _simulate_rmc_occupancy(P, n_events, seed, n_chains=1000, burn_in=1000):
+    """Time fractions per state of ``n_chains`` independent jump chains run
+    in lockstep from state 0, ``burn_in`` jumps discarded and ``n_events``
+    counted in all; the standard errors are taken across chains."""
     rng = np.random.default_rng(seed)
     n = P.shape[0]
-    rates = (-np.diag(P)).tolist()
-    exits = []
-    for i in range(n):
-        row = P[i].copy()
-        row[i] = 0.0
-        nz = np.nonzero(row)[0]
-        cum = np.cumsum(row[nz] / -P[i, i]).tolist()
-        exits.append((cum, nz.tolist()))
-    occupancy = np.zeros((n_batches, n))
-    per_batch = n_events // n_batches
-    state = 0
-    ubuf = rng.random(1 << 16).tolist()
-    upos = 0
-    for b in range(n_batches):
-        occ = occupancy[b]
-        for _ in range(per_batch):
-            if upos >= len(ubuf) - 1:
-                ubuf = rng.random(1 << 16).tolist()
-                upos = 0
-            hold = -math.log1p(-ubuf[upos]) / rates[state]
-            pick = ubuf[upos + 1]
-            upos += 2
-            occ[state] += hold
-            cum, targets = exits[state]
-            j = 0
-            while pick > cum[j]:
-                j += 1
-            state = targets[j]
+    rates = -np.diag(P)
+    cum = np.cumsum(np.where(np.eye(n, dtype=bool), 0.0, P), axis=1)
+    cum /= cum[:, -1:]  # the last entry exactly 1
+    state = np.zeros(n_chains, dtype=np.intp)
+    chains = np.arange(n_chains)
+    occupancy = np.zeros((n_chains, n))
+    for step in range(burn_in + n_events // n_chains):
+        if step >= burn_in:
+            occupancy[chains, state] += rng.standard_exponential(n_chains) / rates[state]
+        u = 1.0 - rng.random(n_chains)  # in (0, 1]: never a zero-rate target
+        state = np.count_nonzero(u[:, None] > cum[state], axis=1)
     fractions = occupancy / occupancy.sum(axis=1, keepdims=True)
-    mean = fractions.mean(axis=0)
-    se = fractions.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    return mean, se
+    return fractions.mean(axis=0), fractions.std(axis=0, ddof=1) / math.sqrt(n_chains)
 
 
 class TestInitialVector:
@@ -292,35 +278,40 @@ class TestInitialVector:
         for _ in range(8):
             mu = rng.uniform(0.05, 4.0, size=2)
             p = FpParams(*mu, rng.uniform(0.05, 20.0), int(rng.integers(1, 15)))
-            st = rmc_stationary(build_fp_rmc(p), p)
-            init = fp_initial_vector(p, st)
+            init = fp_initial_vector(p)
             assert init.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_support_is_three_entry_states(self):
         p = FpParams(0.5, 0.1, 1.0, 7)
-        st = rmc_stationary(build_fp_rmc(p), p)
-        init = fp_initial_vector(p, st)
+        init = fp_initial_vector(p)
         idx = FpStateIndex(7)
         support = {idx.index((1, 1)), idx.index((10, 1)), idx.index((6, 1))}
         nonzero = set(np.nonzero(init)[0].tolist())
         assert nonzero == support
 
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_matches_the_recurrent_chain(self, k):
+        # the closed form is the entry chain's stationary law, and the
+        # recurrent chain weighted by its packet-generating events agrees
+        p = FpParams(0.5, 0.1, 1.0, k)
+        idx = FpStateIndex(k)
+        entry = fp_initial_vector(p)[[idx.first[1], idx.first[10], idx.first[6]]]
+        np.testing.assert_allclose(entry @ _entry_chain(p), entry, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(entry, rmc_entry_vector(p), rtol=0.0, atol=1e-13)
+
     def test_matches_entry_states_seen_in_simulation(self):
+        # pooled entry fractions, with standard errors from the entry
+        # chain's exact asymptotic variance pi_i (2 Z_ii - 1 - pi_i),
+        # Z = (I - P + 1 pi)^-1 (Kemeny and Snell, Finite Markov Chains)
         p = FpParams(0.5, 0.1, 1.0, 10)
-        st = rmc_stationary(build_fp_rmc(p), p)
-        init = fp_initial_vector(p, st)
         idx = FpStateIndex(10)
-        analytic = np.array([init[idx.index((1, 1))],
-                             init[idx.index((10, 1))],
-                             init[idx.index((6, 1))]])
+        analytic = fp_initial_vector(p)[[idx.first[1], idx.first[10], idx.first[6]]]
+        Z = np.linalg.inv(np.eye(3) - _entry_chain(p) + analytic)
         cfg = SimConfig(p, FP, horizon=250_000, seed=29, replications=4)
         res = simulate(cfg, keep_samples=False)
-        per_rep = np.array(res.stats["per_rep"]["entry_counts"], dtype=float)
-        fractions = per_rep / per_rep.sum(axis=1, keepdims=True)
-        mean = fractions.mean(axis=0)
-        se = fractions.std(axis=0, ddof=1) / math.sqrt(fractions.shape[0])
-        for a, m, s in zip(analytic, mean, se):
-            assert abs(a - m) <= 3.0 * s
+        counts = np.array(res.stats["entry_counts"], dtype=float)
+        se = np.sqrt(analytic * (2.0 * np.diag(Z) - 1.0 - analytic) / counts.sum())
+        assert np.all(np.abs(counts / counts.sum() - analytic) <= 3.0 * se)
 
 
 class TestAoiMask:
@@ -351,6 +342,30 @@ class TestModelPipeline:
             total = sum(absorption_probability(model, m) for m in range(2))
             assert total == pytest.approx(1.0, abs=1e-10)
             assert absorption_probability(model, 0) > 0.0
+
+    def test_build_factors_one_chain(self, monkeypatch):
+        # the recurrent chain is a test reference only: a build solves no
+        # stationary law and factors the cycle chain once
+        import aoidual.fp as fp_module
+        import aoidual.phasetype as phasetype_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a build used the recurrent chain")
+
+        factored = []
+
+        def counted(A):
+            factored.append(A.shape)
+            return real(A)
+
+        real = phasetype_module.splu
+        monkeypatch.setattr(fp_module, "build_fp_rmc", forbidden)
+        monkeypatch.setattr(fp_module, "rmc_stationary", forbidden)
+        monkeypatch.setattr(fp_module, "splu", counted)
+        monkeypatch.setattr(phasetype_module, "splu", counted)
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 10))
+        assert factored == [(95, 95)]
+        assert "stationary_residual" not in chain.meta
 
     def test_preemption_only_limit_is_stable(self):
         # shrink-the-freeze limit: values settle to 6 significant digits
@@ -441,9 +456,9 @@ class TestSparseChain:
     def test_with_init_shares_the_factor(self):
         amc = build_fp_amc(FpParams(0.5, 0.1, 1.0, 4))
         chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 4))
-        again = amc.with_init(chain.init, note=1)
+        again = amc.with_init(chain.init)
         assert again._lu is amc._lu and again.S_csc is amc.S_csc
-        assert amc.init is None and again.meta["note"] == 1
+        assert amc.init is None and again.meta == amc.meta
         with pytest.raises(ValueError, match="sum to one"):
             amc.with_init(2.0 * chain.init)
 
@@ -463,23 +478,12 @@ class TestSparseChain:
 
 
 class TestStationaryDiagnostics:
-    def test_residual_and_clip_reach_the_summary(self, tmp_path):
-        from aoidual import GridSpec, summarize
-
+    def test_residual_and_clip_are_reported(self):
         p = FpParams(0.5, 0.1, 1.0, 3)
         P = build_fp_rmc(p)
         st = rmc_stationary(P, p)
         assert 0.0 <= st.residual <= 1e-14 and st.clip == 0.0
         assert np.max(np.abs(st.pi @ P.toarray())) <= 1e-14
-        chain = build_fp_model(p)
-        assert chain.meta["stationary_residual"] == st.residual
-        assert chain.meta["stationary_clip"] == st.clip
-        path = tmp_path / "summary.json"
-        summarize(chain, GridSpec(points=50)).to_json(path)
-        payload = json.loads(path.read_text())
-        for meta in (payload["meta"], payload["aoi_table"]["meta"]):
-            assert meta["stationary_residual"] == st.residual
-            assert meta["stationary_clip"] == st.clip
 
     def test_clipped_mass_is_reported(self, monkeypatch):
         # a solver returning a slightly negative entry: the clip removes

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aoidual import FpParams, GridSpec, aoi_mean, build_fp_model, paoi_mean, summarize
+from aoidual import (FpParams, FpStateIndex, GridSpec, aoi_mean, build_fp_model,
+                     fp_initial_vector, paoi_mean, summarize)
+from conftest import rmc_entry_vector
 
 rates = st.floats(min_value=0.1, max_value=10.0)
 orders = st.integers(min_value=1, max_value=4)
@@ -39,10 +41,14 @@ def test_means_invariant_under_swapped_rates(mu1, mu2, freeze_rate, k):
        freeze_rate=st.floats(min_value=1e-3, max_value=1e8),
        k=st.integers(min_value=1, max_value=60))
 def test_sparse_solves_match_dense_over_extreme_rates(mu1, mu2, freeze_rate, k):
-    # rate ratios up to 1e11: the stationary solve stays finite and the
-    # sparse factor's means agree with dense solves of the same chain
-    chain = build_fp_model(FpParams(mu1, mu2, freeze_rate, k))
-    assert chain.meta["stationary_residual"] >= 0.0
+    # rate ratios up to 1e11: the closed-form initial vector matches the
+    # recurrent chain's, and the sparse factor's means agree with dense
+    # solves of the same chain
+    p = FpParams(mu1, mu2, freeze_rate, k)
+    idx = FpStateIndex(p.k)
+    entry = fp_initial_vector(p)[[idx.first[1], idx.first[10], idx.first[6]]]
+    np.testing.assert_allclose(entry, rmc_entry_vector(p), rtol=0.0, atol=1e-13)
+    chain = build_fp_model(p)
     for w, mean in ((chain.aoi_mask, aoi_mean(chain)),
                     (chain.V[:, chain.success_col], paoi_mean(chain))):
         y = np.linalg.solve(chain.S, w)
