@@ -238,8 +238,7 @@ def build_fp_amc(p: FpParams) -> AbsorbingChain:
     V = np.zeros((n, 2))
     np.add.at(V, (rows[~into_S], cols[~into_S] - n), rates[~into_S])
     S = sparse.coo_array((rates[into_S], (rows[into_S], cols[into_S])), shape=(n, n))
-    return AbsorbingChain(S, V, None, fp_aoi_mask(p.k), success_col=0,
-                          meta=p.meta())
+    return AbsorbingChain(S, V, None, fp_aoi_mask(p.k), meta=p.meta())
 
 
 def build_fp_rmc(p: FpParams) -> sparse.csr_array:
@@ -378,8 +377,7 @@ def _build_preempt_only(p: FpParams) -> AbsorbingChain:
     np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
     init = np.array([a * (a + b), a * a + a * b + b * b, (a + b) ** 2, 0.0, 0.0])
     meta = {"policy": "fp_preempt_only", "mu1": a, "mu2": b, "swapped": p.swapped}
-    return AbsorbingChain(S, V, init / init.sum(), np.eye(5)[4],
-                          success_col=0, meta=meta)
+    return AbsorbingChain(S, V, init / init.sum(), np.eye(5)[4], meta=meta)
 
 
 def build_fp_model(p: FpParams) -> AbsorbingChain:

@@ -6,8 +6,8 @@ ending in the successful column; the stationary age density is the
 time ``x``. Both are the matrix-exponential law of ``phasetype`` that
 also serves plain phase-type variables, and differ only in the weighting
 vector: the successful absorption rates for peak age, the age-overlap
-mask for age. All conditioning follows the defining ratios directly; no
-renormalized sub-chain is built.
+mask for age, so one walk of the kernel tabulates both. All conditioning
+follows the defining ratios directly; no renormalized sub-chain is built.
 """
 
 from __future__ import annotations
@@ -22,25 +22,28 @@ from . import _io
 from .phasetype import AbsorbingChain, _Law, absorption_probability, expm_action_grid
 
 
+#: First nonzero grid point, as a multiple of the mean.
+MIN_MULT = 0.01
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid: ``points`` log-spaced abscissae from
-    ``min_mult * mean`` to ``max_mult * mean``, preceded by 0."""
+    ``MIN_MULT * mean`` to ``max_mult * mean``, preceded by 0."""
 
     points: int = 2000
-    min_mult: float = 0.01
     max_mult: float = 40.0
 
     def __post_init__(self):
         if self.points < 2:
             raise ValueError("grid needs at least two points")
-        if not 0 < self.min_mult < self.max_mult:
-            raise ValueError("need 0 < min_mult < max_mult")
+        if not self.max_mult > MIN_MULT:
+            raise ValueError(f"need max_mult > {MIN_MULT}")
 
     def build(self, mean: float) -> np.ndarray:
         if mean <= 0:
             raise ValueError("mean must be positive")
-        body = np.geomspace(self.min_mult * mean, self.max_mult * mean,
+        body = np.geomspace(MIN_MULT * mean, self.max_mult * mean,
                             self.points)
         return np.concatenate(([0.0], body))
 
@@ -131,7 +134,7 @@ class AoiSummary:
 
 def _law(chain: AbsorbingChain, kind: str) -> _Law:
     if kind == "paoi":
-        w = chain.V[:, chain.success_col]
+        w = chain.V[:, 0]
     elif kind == "aoi":
         w = chain.aoi_mask
     else:
@@ -179,41 +182,31 @@ def aoi_moment(chain: AbsorbingChain, i: int) -> float:
     return _law(chain, "aoi").moment(i)
 
 
-def _table(chain: AbsorbingChain, kind: str, grid_spec: GridSpec,
-           meta: dict) -> tuple:
-    law = _law(chain, kind)
-    moments = law.moments(3)
-    mean, m2 = moments[0], moments[1]
-    grid = grid_spec.build(mean)
-    proj, info = expm_action_grid(chain.S_csc, grid, law.init, law.W,
-                                  full_output=True)
-    pdf, raw = law.pdf_cdf(proj)
-    cdf = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
-    meta = {**meta, **info, "cdf_clip": float(np.max(np.abs(cdf - raw)))}
-    table = DistributionTable(grid, pdf, cdf, mean, m2, m2 - mean * mean,
-                              meta=meta)
-    return table, tuple(moments)
-
-
 def summarize(chain: AbsorbingChain, grid_spec: GridSpec = GridSpec()) -> AoiSummary:
     """Evaluate all summary quantities of a cycle chain.
 
-    Each table uses its own grid scaled to the respective mean. The
-    result is a pure function of the chain and grid spec; identical
-    inputs give bit-identical output.
+    Each table uses its own grid scaled to the respective mean. Both laws
+    walk ``init expm(S x)``, so one kernel call evaluates both grids
+    against their four stacked weights, and both tables' ``meta`` report
+    that shared walk. The result is a pure function of the chain and grid
+    spec; identical inputs give bit-identical output.
     """
     base_meta = dict(chain.meta)
-    aoi_table, aoi_moments = _table(chain, "aoi", grid_spec,
-                                    {**base_meta, "kind": "aoi"})
-    paoi_table, paoi_moments = _table(chain, "paoi", grid_spec,
-                                      {**base_meta, "kind": "paoi"})
-    return AoiSummary(
-        mean_aoi=aoi_moments[0],
-        mean_paoi=paoi_moments[0],
-        aoi_moments=aoi_moments,
-        paoi_moments=paoi_moments,
-        p_success=absorption_probability(chain, chain.success_col),
-        aoi_table=aoi_table,
-        paoi_table=paoi_table,
-        meta=base_meta,
-    )
+    laws = [_law(chain, kind) for kind in ("aoi", "paoi")]
+    moments = [tuple(law.moments(3)) for law in laws]
+    grids = [grid_spec.build(m[0]) for m in moments]
+    proj, info = expm_action_grid(chain.S_csc, np.concatenate(grids), laws[0].init,
+                                  np.hstack([law.W for law in laws]), full_output=True)
+    # rows: aoi grid, then paoi grid; columns: aoi (w, y), then paoi (w, y)
+    proj = proj.reshape(2, -1, 2, 2)
+    tables = []
+    for i, (kind, law, (mean, m2, _), grid) in enumerate(
+            zip(("aoi", "paoi"), laws, moments, grids)):
+        pdf, raw = law.pdf_cdf(proj[i, :, i])
+        cdf = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
+        meta = {**base_meta, "kind": kind, **info,
+                "cdf_clip": float(np.max(np.abs(cdf - raw)))}
+        tables.append(DistributionTable(grid, pdf, cdf, mean, m2, m2 - mean * mean,
+                                        meta=meta))
+    return AoiSummary(moments[0][0], moments[1][0], *moments,
+                      absorption_probability(chain, 0), *tables, meta=base_meta)

@@ -164,10 +164,10 @@ class AbsorbingChain:
     The full generator is ``[[S, V], [0, 0]]``; its rows sum to zero.
     ``init`` is the initial distribution over transient states and may be
     ``None`` while the chain is being assembled (the freeze/preempt model
-    derives it from a separate recurrent chain). ``aoi_mask`` selects the
-    transient states whose occupancy overlaps the age sawtooth, and
-    ``success_col`` names the column of ``V`` that ends a cycle with a
-    fresh reception.
+    attaches its closed-form vector with :meth:`with_init`). ``aoi_mask``
+    selects the transient states whose occupancy overlaps the age
+    sawtooth. Column 0 of ``V`` is the success column: absorbing there
+    ends a cycle with a fresh reception.
 
     The block is given dense or sparse and held as the CSC matrix
     ``S_csc`` with one sparse LU factor, which every computation uses.
@@ -177,7 +177,6 @@ class AbsorbingChain:
     V: np.ndarray
     init: np.ndarray | None
     aoi_mask: np.ndarray
-    success_col: int = 0
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
@@ -197,8 +196,6 @@ class AbsorbingChain:
             raise ValueError("aoi_mask must be a 0/1 vector over the transient states")
         if not np.any(mask):
             raise ValueError("aoi_mask selects no state")
-        if not 0 <= self.success_col < V.shape[1]:
-            raise ValueError(f"success_col {self.success_col} out of range")
         if self.init is not None:
             object.__setattr__(self, "init", _checked_init(self.init, n))
         object.__setattr__(self, "S_csc", S_csc)
@@ -275,8 +272,8 @@ def _uniformized(S):
 
 
 def _poisson_window(mass, tail: float):
-    """Integer bounds ``[left, right]`` outside which a Poisson(``mass``)
-    law has at most ``tail`` of its mass.
+    """Whole-number bounds ``[left, right]``, as floats, outside which a
+    Poisson(``mass``) law has at most ``tail`` of its mass.
 
     Bernstein's inequalities, ``P(N >= m + t) <= exp(-t^2 / (2 (m + t/3)))``
     and ``P(N <= m - t) <= exp(-t^2 / (2 m))``, each set to ``tail / 2``.
@@ -286,7 +283,15 @@ def _poisson_window(mass, tail: float):
     c = log(2.0 / tail)
     right = np.ceil(mass + c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * mass))
     left = np.floor(np.maximum(mass - np.sqrt(2.0 * c * mass), 0.0))
-    return left.astype(np.int64), right.astype(np.int64)
+    return left, right
+
+
+def _length(bound) -> int:
+    """A window bound as a number of terms, which must fit in an int64."""
+    if not bound < 2.0 ** 63:
+        raise RuntimeError(f"uniformization needs {float(bound):.3g} terms, "
+                           "more than an array can index")
+    return int(bound)
 
 
 def _log_factorial(j) -> np.ndarray:
@@ -345,7 +350,7 @@ def _squaring(P, masses: np.ndarray, v: np.ndarray):
     for mass in masses:
         s = max(0, ceil(log2(mass / _MAX_STEP_MASS)))
         h = mass / 2.0 ** s
-        terms = int(_poisson_window(h, EXPM_TAIL / 2.0 ** s)[1])
+        terms = _length(_poisson_window(h, EXPM_TAIL / 2.0 ** s)[1])
         E = _step(np.eye(P.shape[0]), P, h, terms)
         for _ in range(s):
             E = E @ E
@@ -373,7 +378,7 @@ def _single_pass(P, masses: np.ndarray, v: np.ndarray, W):
     width = v.shape[0] if W is None else W.shape[1]
     acc = np.zeros((masses.shape[0], width))
     norm = np.zeros(masses.shape[0])
-    steps = int(right[-1]) + 1
+    steps = _length(right[-1]) + 1
     log_factorial = _log_factorial(np.arange(steps))
     u = v
     for j0 in range(0, steps, _BLOCK):
@@ -399,13 +404,14 @@ def _prefer_squaring(mass: float, points: int, order: int, nnz: int) -> bool:
     A walk takes about ``mass`` sparse vector products, each dominated by
     a fixed call overhead; squaring takes a few hundred dense products of
     order ``order`` per point. Only a huge mass at few points, or a tiny
-    order, tips the balance to squaring.
+    order, tips the balance to squaring. The costs are compared in floating
+    point, since a huge mass overflows any integer count.
     """
     if mass <= _MAX_STEP_MASS:
         return False
     s = ceil(log2(mass / _MAX_STEP_MASS))
-    walk = int(_poisson_window(mass, EXPM_TAIL)[1]) * (_VECTOR_COST + 2.0 * nnz)
-    terms = int(_poisson_window(_MAX_STEP_MASS, EXPM_TAIL / 2.0 ** s)[1])
+    walk = _poisson_window(mass, EXPM_TAIL)[1] * (_VECTOR_COST + 2.0 * nnz)
+    terms = _poisson_window(_MAX_STEP_MASS, EXPM_TAIL / 2.0 ** s)[1]
     square = points * (terms + s) * (_PRODUCT_COST + 2.0 * order ** 3)
     return square < walk
 
@@ -439,16 +445,18 @@ def expm_action(S, x: float, v) -> np.ndarray:
 
 
 def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
-    """Evaluate ``v @ expm(S * x) @ W`` for every ``x`` of a sorted grid.
+    """Evaluate ``v @ expm(S * x) @ W`` for every ``x`` of a grid.
 
-    By default (``W`` None) the full row vector ``v @ expm(S * x)``. A
-    single pass walks ``v P^j`` once, up to the Poisson right bound of
-    ``rate * max(xs)``, so the work scales with the largest mass rather
-    than with the number of points; with ``W`` only the projections of
-    the walk onto the columns of ``W`` are kept. For few points at a huge
-    mass a step matrix is squared instead; the choice depends only on the
-    mass, the number of points and the order of ``S``, which may be
-    dense or sparse.
+    By default (``W`` None) the full row vector ``v @ expm(S * x)``. The
+    points may come in any order and may repeat; row ``i`` belongs to
+    ``xs[i]``. A single pass walks ``v P^j`` once, up to the Poisson right
+    bound of ``rate * max(xs)``, so the work scales with the largest mass
+    rather than with the number of points; with ``W`` only the projections
+    of the walk onto the columns of ``W`` are kept, so laws of one ``v``
+    share a walk by stacking their weights. For few points at a huge mass
+    a step matrix is squared instead; the choice depends only on the mass,
+    the number of points and the order of ``S``, which may be dense or
+    sparse.
 
     Returns an array of shape ``(len(xs), W.shape[1])``, or
     ``(len(xs), len(v))`` without ``W``. With ``full_output`` it returns
@@ -460,7 +468,8 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
     Raises
     ------
     RuntimeError
-        If the discarded Poisson mass exceeds ``EXPM_TAIL``.
+        If the discarded Poisson mass exceeds ``EXPM_TAIL``, or the series
+        needs more terms than an array can index.
     """
     S = S if sparse.issparse(S) else np.asarray(S, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -480,23 +489,22 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
         raise ValueError("grid points must be finite")
     if np.any(xs < 0):
         raise ValueError("grid points must be nonnegative")
-    if np.any(np.diff(xs) < 0):
-        raise ValueError("grid points must be sorted ascending")
     P, rate = _uniformized(S)
-    masses = rate * xs
+    order = np.argsort(xs, kind="stable")
+    masses = rate * xs[order]
     at_zero = v if W is None else v @ W
     out = np.empty((xs.shape[0], at_zero.shape[0]))
     zero = int(np.searchsorted(masses, 0.0, side="right"))
-    out[:zero] = at_zero
+    out[order[:zero]] = at_zero
     mass = float(masses[-1]) if zero < masses.shape[0] else 0.0
     squaring = _prefer_squaring(mass, masses.shape[0] - zero, S.shape[0],
                                 P.count_nonzero())
     tail = 0.0
     if squaring:
         rows, tail = _squaring(P, masses[zero:], v)
-        out[zero:] = rows if W is None else rows @ W
+        out[order[zero:]] = rows if W is None else rows @ W
     elif zero < masses.shape[0]:
-        out[zero:], tail = _single_pass(P, masses[zero:], v, W)
+        out[order[zero:]], tail = _single_pass(P, masses[zero:], v, W)
     if tail > EXPM_TAIL:
         raise RuntimeError(f"uniformization discarded a Poisson mass of {tail:.3g}, "
                            f"above EXPM_TAIL = {EXPM_TAIL:g}")
@@ -539,18 +547,14 @@ class _Law:
                 (proj[..., 1] - self._at_zero[1]) / self.denom)
 
     def at(self, x):
-        """``(pdf, cdf)`` at a scalar or an unsorted array of times."""
+        """``(pdf, cdf)`` at a scalar or a one-dimensional array of times."""
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
             raise ValueError("time arguments must be nonnegative")
-        xs = arr.reshape(1) if arr.ndim == 0 else arr
-        order = np.argsort(xs, kind="stable")
-        proj = expm_action_grid(self.S, xs[order], self.init, self.W)
+        proj = expm_action_grid(self.S, np.atleast_1d(arr), self.init, self.W)
         if arr.ndim == 0:
             return tuple(float(val) for val in self.pdf_cdf(proj[0]))
-        vals = np.empty((2, order.size))
-        vals[:, order] = self.pdf_cdf(proj)
-        return vals[0], vals[1]
+        return self.pdf_cdf(proj)
 
     def moments(self, count: int) -> list:
         """The first ``count`` moments, by repeated right solves against

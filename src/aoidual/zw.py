@@ -94,7 +94,7 @@ def build_zw_amc(p: ZwParams) -> AbsorbingChain:
     mask = np.zeros(7)
     mask[list(AOI_STATES)] = 1.0
     meta = {"policy": "zw", "mu1": a, "mu2": b, "swapped": p.swapped}
-    return AbsorbingChain(S, V, init, mask, success_col=0, meta=meta)
+    return AbsorbingChain(S, V, init, mask, meta=meta)
 
 
 def zw_explicit_inverse(p: ZwParams) -> np.ndarray:

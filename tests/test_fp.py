@@ -410,7 +410,7 @@ class TestPreemptOnlyChain:
 def _dense_means(chain):
     """Mean age and mean peak age solved densely from ``chain.S``."""
     means = []
-    for w in (chain.aoi_mask, chain.V[:, chain.success_col]):
+    for w in (chain.aoi_mask, chain.V[:, 0]):
         y = np.linalg.solve(chain.S, w)
         means.append(float(chain.init @ np.linalg.solve(chain.S, y))
                      / -float(chain.init @ y))

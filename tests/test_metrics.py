@@ -168,12 +168,26 @@ class TestSummarize:
         chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 3))
         rate = float(np.max(-np.diag(chain.S)))
         summary = summarize(chain, GridSpec(points=200))
+        # both tables come from one walk, up to the later grid end
+        end = max(summary.aoi_table.grid[-1], summary.paoi_table.grid[-1])
         for table in (summary.aoi_table, summary.paoi_table):
             meta = table.meta
             assert meta["kernel"] == "single_pass"
-            assert meta["unif_mass"] == rate * table.grid[-1]
+            assert meta["unif_mass"] == rate * end
             assert 0.0 <= meta["poisson_tail"] <= EXPM_TAIL
             assert 0.0 <= meta["cdf_clip"] <= 1e-12
+
+    @pytest.mark.parametrize("chain", [build_zw_amc(ZW_HET),
+                                       build_fp_model(FpParams(0.5, 0.1, 1.0, 3))],
+                             ids=["zw", "fp"])
+    def test_every_table_point_matches_the_pointwise_law(self, chain):
+        # one walk serves both tables; each must get its own rows and
+        # weights back, at every point, not only at the grid end
+        summary = summarize(chain, GridSpec(points=300))
+        for table, pdf, cdf in ((summary.aoi_table, aoi_pdf, aoi_cdf),
+                                (summary.paoi_table, paoi_pdf, paoi_cdf)):
+            np.testing.assert_allclose(table.pdf, pdf(chain, table.grid), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(table.cdf, cdf(chain, table.grid), rtol=0, atol=1e-13)
 
 
 class TestScaleCovariance:

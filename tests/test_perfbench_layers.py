@@ -49,7 +49,7 @@ def test_summarize_crosses_the_kernel_and_the_solves(monkeypatch):
     spy(metrics, "expm_action_grid")
     spy(phasetype.AbsorbingChain, "solve_right")
     metrics.summarize(chain, metrics.GridSpec(points=20))
-    assert calls.count("expm_action_grid") == 2  # one table per kind
+    assert calls.count("expm_action_grid") == 1  # one walk for both kinds
     assert "solve_right" in calls
 
 

@@ -53,7 +53,7 @@ class TestPdf:
             ph_pdf(exponential_ph(1.0), -0.1)
 
     def test_array_argument_matches_scalars(self):
-        # unsorted, with a repeated point: every law sorts, evaluates and
+        # unsorted, with a repeated point: the kernel sorts, evaluates and
         # puts the values back in the caller's order
         ph = erlang_ph(0.7, 3)
         chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 3))
@@ -65,6 +65,8 @@ class TestPdf:
             assert vals.shape == xs.shape
             for x, v in zip(xs, vals):
                 assert v == pytest.approx(law(model, float(x)), rel=1e-10)
+            with pytest.raises(ValueError, match="one-dimensional"):
+                law(model, xs.reshape(2, 3))
 
 
 class TestCdf:
@@ -186,6 +188,34 @@ class TestExpmAction:
         assert kernels == ["squaring"]
         assert 1.0 - 1e-9 <= cdf <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("x", [1e17, 1e20, 1e100])
+    def test_mass_beyond_int64_evaluates(self, x):
+        # a window bound above 2**63 cannot be cast to an integer count;
+        # the kernel compares the costs in floating point and squares
+        assert aoi_cdf(build_zw_amc(ZwParams(1.0, 1.0)), x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unindexable_window_raises(self):
+        # at this mass even squaring's step window is not a finite count
+        with pytest.raises(RuntimeError, match="more than an array can index"):
+            aoi_cdf(build_zw_amc(ZwParams(1.0, 1.0)), 1e300)
+
+    @pytest.mark.parametrize("scale, xs, kernel", [
+        (1.0, [0.0, 0.2, 0.2, 1.5, 6.0, 20.0, 0.0, 6.0], "single_pass"),
+        (1e3, [0.0, 0.4, 0.4, 0.1, 0.4], "squaring"),
+    ])
+    def test_shuffled_points_match_sorted(self, rng, scale, xs, kernel):
+        # the kernel sorts the points itself and returns each row in the
+        # caller's order, repeats included
+        S = scale * random_subgenerator(rng, 6)
+        v = rng.random(6)
+        xs = np.sort(xs)
+        perm = rng.permutation(xs.size)
+        for W in (None, rng.random((6, 4))):
+            ordered, info = expm_action_grid(S, xs, v, W, full_output=True)
+            assert info["kernel"] == kernel
+            np.testing.assert_allclose(expm_action_grid(S, xs[perm], v, W),
+                                       ordered[perm], rtol=1e-14, atol=0)
+
     def test_projection_matches_full_vector(self, rng):
         # W = I is the full action; any W is its projection
         S = random_subgenerator(rng, 7)
@@ -277,7 +307,7 @@ class TestFig3Kernel:
         from aoidual import metrics
 
         chain, summary = model
-        w = chain.aoi_mask if kind == "aoi" else chain.V[:, chain.success_col]
+        w = chain.aoi_mask if kind == "aoi" else chain.V[:, 0]
         y = np.linalg.solve(chain.S, w)
         denom = -(chain.init @ y)
         table = getattr(summary, f"{kind}_table")
@@ -435,12 +465,6 @@ class TestValidation:
             AbsorbingChain(S, V, np.array([1.0]), np.array([0.5]))
         with pytest.raises(ValueError):
             AbsorbingChain(S, V, np.array([1.0]), np.array([0.0]))
-
-    def test_success_col_range(self):
-        S = np.array([[-1.0]])
-        V = np.array([[1.0]])
-        with pytest.raises(ValueError):
-            AbsorbingChain(S, V, np.array([1.0]), np.array([1.0]), success_col=1)
 
 
 def test_dump_csv_writes_audit_files(tmp_path):

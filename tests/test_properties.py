@@ -50,7 +50,7 @@ def test_sparse_solves_match_dense_over_extreme_rates(mu1, mu2, freeze_rate, k):
     np.testing.assert_allclose(entry, rmc_entry_vector(p), rtol=0.0, atol=1e-13)
     chain = build_fp_model(p)
     for w, mean in ((chain.aoi_mask, aoi_mean(chain)),
-                    (chain.V[:, chain.success_col], paoi_mean(chain))):
+                    (chain.V[:, 0], paoi_mean(chain))):
         y = np.linalg.solve(chain.S, w)
         dense = float(chain.init @ np.linalg.solve(chain.S, y)) / -float(chain.init @ y)
         assert 0.0 < mean < np.inf

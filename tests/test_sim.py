@@ -169,7 +169,7 @@ class TestFreezePreempt:
         res = simulate(SimConfig(p, FP, horizon=n, seed=43, replications=1),
                        keep_samples=False)
         simulated = n / sum(res.stats["entry_counts"])
-        exact = absorption_probability(chain, chain.success_col)
+        exact = absorption_probability(chain, 0)
         assert abs(simulated - exact) <= 5.0 / math.sqrt(n)
 
 
