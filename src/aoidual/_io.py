@@ -1,7 +1,8 @@
 """CSV and JSON writers shared by the library and the CLI.
 
 Every CSV gets a header row and floats are printed with 12 significant
-digits so analytic outputs are value-identical across runs.
+digits so analytic outputs are value-identical across runs. A CSV is
+written from its columns; JSON is written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -22,25 +23,34 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write rows of scalars under a header."""
+def _fields(column) -> list:
+    """CSV fields as :func:`fmt` prints them; a float array in one pass."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map("%.12g".__mod__, column.tolist()))
+    return list(map(fmt, column))
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns of scalars under a header."""
+    fields = [_fields(c) for c in columns]
+    if len({len(f) for f in fields}) > 1:
+        raise ValueError("columns differ in length")
+    lines = [",".join(header)] + list(map(",".join, zip(*fields)))
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_matrix_csv(path, matrix) -> None:
     """Dense row-major matrix dump with generic column names."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     header = [f"c{j}" for j in range(matrix.shape[1])]
-    write_csv(path, header, matrix)
+    write_csv(path, header, matrix.T)
 
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -50,6 +60,6 @@ def _jsonable(obj):
 
 
 def write_json(path, payload: dict) -> None:
+    """Write ``payload`` compactly, keys sorted, with the C encoder."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(payload), sort_keys=True) + "\n")

@@ -254,19 +254,20 @@ def cmd_figure(args) -> int:
     outdir = _out_dir(args, "figure")
     path = os.path.join(outdir, f"fig{fid}.csv")
     if fid == "3a":
-        _io.write_csv(path, ["curve", "x", "cdf"], _figure_cdfs(args, "paoi"))
+        header, rows = ["curve", "x", "cdf"], _figure_cdfs(args, "paoi")
     elif fid == "3b":
-        _io.write_csv(path, ["curve", "x", "cdf"], _figure_cdfs(args, "aoi"))
+        header, rows = ["curve", "x", "cdf"], _figure_cdfs(args, "aoi")
     elif fid == "4":
-        _io.write_csv(path, ["curve", "lambda", "mean_paoi"],
-                      _figure_rate_sweep(args, "paoi"))
+        header = ["curve", "lambda", "mean_paoi"]
+        rows = _figure_rate_sweep(args, "paoi")
     elif fid == "5":
-        _io.write_csv(path, ["curve", "lambda", "mean_aoi"],
-                      _figure_rate_sweep(args, "aoi"))
+        header = ["curve", "lambda", "mean_aoi"]
+        rows = _figure_rate_sweep(args, "aoi")
     else:
-        _io.write_csv(path, ["policy", "mu2", "k", "lambda_star", "f_star",
-                             "aoi_star", "zw_aoi", "reduction_pct"],
-                      _figure_optimum_sweep())
+        header = ["policy", "mu2", "k", "lambda_star", "f_star",
+                  "aoi_star", "zw_aoi", "reduction_pct"]
+        rows = _figure_optimum_sweep()
+    _io.write_csv(path, header, zip(*rows))
     params = {"figure": fid}
     seed = None
     if fid in ("3a", "3b"):

@@ -79,8 +79,7 @@ class DistributionTable:
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     def to_csv(self, path) -> None:
-        _io.write_csv(path, ["x", "pdf", "cdf"],
-                      zip(self.grid, self.pdf, self.cdf))
+        _io.write_csv(path, ["x", "pdf", "cdf"], (self.grid, self.pdf, self.cdf))
 
     def payload(self) -> dict:
         return {"grid": self.grid, "pdf": self.pdf, "cdf": self.cdf,

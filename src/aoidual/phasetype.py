@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 #: Tolerance for structural checks (row sums, probability normalization).
@@ -39,15 +40,12 @@ _MAX_STEP_MASS = 200.0
 #: Rows of the single-pass walk held and weighted at once.
 _BLOCK = 256
 
-#: Up to this order a dense vector product is cheaper than a CSR one
-#: (4 against 7.5 us at order 95, 49 against 10 us at order 455).
-_DENSE_ORDER = 128
-
-#: Cost of one sparse vector product and of one dense matrix product
-#: beyond their flops, in flops (call overhead, measured with one BLAS
-#: thread); they decide between a walk and squaring.
-_VECTOR_COST = 2e5
-_PRODUCT_COST = 5e4
+#: Costs deciding between a walk and squaring, in flops of a dense product
+#: at 40 GFlop/s (one BLAS thread): a walk step 1-2 us plus 2.1-2.4 ns per
+#: stored entry, a step-matrix term 2-5 us beyond its flops (orders 4-1805).
+_VECTOR_COST = 5e4
+_ENTRY_COST = 100.0
+_PRODUCT_COST = 1e5
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
@@ -363,36 +361,40 @@ def _single_pass(P, masses: np.ndarray, v: np.ndarray, W):
     """``v expm(S x) W`` at each mass ``rate * x`` (ascending) from one walk.
 
     The walk forms ``u_j = v P^j`` once, for ``j`` up to the Poisson right
-    bound of the largest mass, with ``P`` in CSR form (dense up to
-    ``_DENSE_ORDER``), and keeps only the projections ``u_j W`` (``u_j``
-    itself when ``W`` is None). Each point is the Poisson-weighted sum of
-    the projections inside its window (Grassmann 1977; Fox and Glynn
-    1988). The weights are normalized to sum to one over the terms kept.
-    Returns the values and the largest Poisson mass outside a point's
-    window.
+    bound of the largest mass, each step one direct ``csr_matvec`` call
+    (``P.T @ u`` without scipy's dispatch) into the next row of one reused
+    block, and keeps only the projections ``u_j W`` (``u_j`` itself when
+    ``W`` is None). Each point is the Poisson-weighted sum of the
+    projections inside its window (Grassmann 1977; Fox and Glynn 1988),
+    the weights normalized to sum to one over the terms kept. Returns the
+    values and the largest Poisson mass outside a point's window.
     """
     left, right = _poisson_window(masses, EXPM_TAIL)
     log_mass = np.log(masses)[:, None]
-    # u @ P as PT @ u
-    PT = P.T.toarray() if v.shape[0] <= _DENSE_ORDER else P.T.tocsr()
-    width = v.shape[0] if W is None else W.shape[1]
+    n, PT = v.shape[0], P.T.tocsr()
+    arrays = (n, n, PT.indptr, PT.indices, PT.data)
+    width = n if W is None else W.shape[1]
     acc = np.zeros((masses.shape[0], width))
     norm = np.zeros(masses.shape[0])
     steps = _length(right[-1]) + 1
     log_factorial = _log_factorial(np.arange(steps))
-    u = v
+    U = np.zeros((_BLOCK + 1, n))
+    rows = list(U)
+    U[_BLOCK] = v
     for j0 in range(0, steps, _BLOCK):
         j = np.arange(j0, min(j0 + _BLOCK, steps))
-        U = np.empty((j.shape[0], v.shape[0]))
+        U[0], U[1:] = U[_BLOCK], 0.0  # carry the last row over, clear the rest
         for r in range(j.shape[0]):
-            U[r] = u
-            u = PT @ u
+            csr_matvec(*arrays, rows[r], rows[r + 1])
         # the points whose window meets this block are contiguous
         a, b = np.searchsorted(right, j0), np.searchsorted(left, j[-1], "right")
         if a < b:
-            p = np.exp(j * log_mass[a:b] - masses[a:b, None]
-                       - log_factorial[j0:j0 + j.shape[0]])
-            acc[a:b] += p @ (U if W is None else U @ W)
+            p = j * log_mass[a:b]  # in place: no large temporaries
+            p -= masses[a:b, None]
+            p -= log_factorial[j0:j0 + j.shape[0]]
+            np.exp(p, out=p)
+            block = U[:j.shape[0]]
+            acc[a:b] += p @ (block if W is None else block @ W)
             norm[a:b] += p.sum(axis=1)
     tail = float(np.max(_poisson_tail(masses, left, right)))
     return acc / norm[:, None], tail
@@ -401,16 +403,16 @@ def _single_pass(P, masses: np.ndarray, v: np.ndarray, W):
 def _prefer_squaring(mass: float, points: int, order: int, nnz: int) -> bool:
     """Whether squaring is cheaper than one walk, in flop equivalents.
 
-    A walk takes about ``mass`` sparse vector products, each dominated by
-    a fixed call overhead; squaring takes a few hundred dense products of
-    order ``order`` per point. Only a huge mass at few points, or a tiny
-    order, tips the balance to squaring. The costs are compared in floating
-    point, since a huge mass overflows any integer count.
+    A walk takes about ``mass`` steps, each a fixed cost plus a cost per
+    stored entry; squaring takes a few hundred dense products of order
+    ``order`` per point, each a fixed cost plus its flops. Only a huge mass
+    at few points and a small order tips the balance to squaring. The costs
+    are compared in floating point, since a huge mass overflows any count.
     """
     if mass <= _MAX_STEP_MASS:
         return False
     s = ceil(log2(mass / _MAX_STEP_MASS))
-    walk = _poisson_window(mass, EXPM_TAIL)[1] * (_VECTOR_COST + 2.0 * nnz)
+    walk = _poisson_window(mass, EXPM_TAIL)[1] * (_VECTOR_COST + _ENTRY_COST * nnz)
     terms = _poisson_window(_MAX_STEP_MASS, EXPM_TAIL / 2.0 ** s)[1]
     square = points * (terms + s) * (_PRODUCT_COST + 2.0 * order ** 3)
     return square < walk

@@ -165,10 +165,8 @@ class SimResult:
         _io.write_json(path, self.payload())
 
     def write_cdf_csvs(self, aoi_path, paoi_path) -> None:
-        _io.write_csv(aoi_path, ["x", "cdf"],
-                      zip(self.aoi_cdf_x, self.aoi_cdf_y))
-        _io.write_csv(paoi_path, ["x", "cdf"],
-                      zip(self.paoi_cdf_x, self.paoi_cdf_y))
+        _io.write_csv(aoi_path, ["x", "cdf"], (self.aoi_cdf_x, self.aoi_cdf_y))
+        _io.write_csv(paoi_path, ["x", "cdf"], (self.paoi_cdf_x, self.paoi_cdf_y))
 
 
 #: Number of quantile points kept in serialized empirical cdfs.

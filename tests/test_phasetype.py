@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from aoidual import (
     AbsorbingChain,
@@ -201,7 +202,7 @@ class TestExpmAction:
 
     @pytest.mark.parametrize("scale, xs, kernel", [
         (1.0, [0.0, 0.2, 0.2, 1.5, 6.0, 20.0, 0.0, 6.0], "single_pass"),
-        (1e3, [0.0, 0.4, 0.4, 0.1, 0.4], "squaring"),
+        (1e4, [0.0, 0.4, 0.4, 0.1, 0.4], "squaring"),
     ])
     def test_shuffled_points_match_sorted(self, rng, scale, xs, kernel):
         # the kernel sorts the points itself and returns each row in the
@@ -231,6 +232,52 @@ class TestExpmAction:
         for x, row in zip(xs, full):
             np.testing.assert_allclose(row, v @ scipy.linalg.expm(S * x),
                                        rtol=1e-11, atol=1e-15)
+
+    def test_private_csr_kernel_is_available(self):
+        # the walk calls scipy's private CSR product, which adds A @ x into y;
+        # a scipy that moves or changes it fails here by name
+        try:
+            from scipy.sparse._sparsetools import csr_matvec
+        except ImportError as err:  # pragma: no cover - depends on scipy
+            pytest.fail(f"scipy {scipy.__version__} lacks scipy.sparse._sparsetools"
+                        f".csr_matvec, which phasetype._single_pass calls: {err}")
+        A = scipy.sparse.csr_array(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        y = np.array([10.0, 20.0])
+        csr_matvec(2, 2, A.indptr, A.indices, A.data, np.array([1.0, 1.0]), y)
+        np.testing.assert_array_equal(y, [13.0, 23.0])
+
+    @pytest.mark.parametrize("k", [50, 200])
+    def test_walk_steps_equal_sparse_products(self, monkeypatch, k):
+        # each in-place step, across a block boundary, is bitwise P.T @ u
+        from aoidual import phasetype
+
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, k))
+        P, rate = phasetype._uniformized(chain.S_csc)
+        steps, matvec = [], phasetype.csr_matvec
+
+        def spy(*args):
+            matvec(*args)
+            steps.append((args[-2].copy(), args[-1].copy()))
+
+        monkeypatch.setattr(phasetype, "csr_matvec", spy)
+        expm_action_grid(chain.S_csc, [300.0 / rate], chain.init)
+        assert len(steps) > 300 > phasetype._BLOCK
+        PT, u = P.T.tocsr(), chain.init
+        for x, y in steps[:300]:
+            assert np.array_equal(x, u)
+            u = PT @ u
+            assert np.array_equal(y, u)
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_chain_action_matches_dense_expm(self, k):
+        # orders 14, 95 and 455 all take the one CSR walk
+        chain = build_fp_model(FpParams(0.5, 0.1, 1.0, k))
+        xs = np.array([0.0, 0.35, 3.0, 12.0, 40.0])
+        got, info = expm_action_grid(chain.S_csc, xs, chain.init, full_output=True)
+        assert info["kernel"] == "single_pass"
+        for x, row in zip(xs, got):
+            np.testing.assert_allclose(row, chain.init @ scipy.linalg.expm(chain.S * x),
+                                       rtol=1e-10, atol=1e-13)
 
     def test_poisson_window_bounds_the_exact_tail(self):
         # the reported tail bounds the exact Poisson mass outside each

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aoidual import (FpParams, FpStateIndex, GridSpec, aoi_mean, build_fp_model,
-                     fp_initial_vector, paoi_mean, summarize)
+                     fp_initial_vector, paoi_mean, preempt_only_params, summarize)
 from conftest import rmc_entry_vector
 
 rates = st.floats(min_value=0.1, max_value=10.0)
@@ -55,3 +55,15 @@ def test_sparse_solves_match_dense_over_extreme_rates(mu1, mu2, freeze_rate, k):
         dense = float(chain.init @ np.linalg.solve(chain.S, y)) / -float(chain.init @ y)
         assert 0.0 < mean < np.inf
         assert mean == pytest.approx(dense, rel=1e-9)
+
+
+@given(mu1=st.floats(min_value=1e-2, max_value=1e2),
+       mu2=st.floats(min_value=1e-2, max_value=1e2),
+       freeze_rate=st.floats(min_value=1e-2, max_value=1e2),
+       k=st.sampled_from([1, 2, 5, 20]))
+def test_freezing_never_lowers_mean_peak_age(mu1, mu2, freeze_rate, k):
+    # the preemption-only chain, whose freezes have zero length, bounds the
+    # mean peak age at every finite freeze rate from below
+    bound = paoi_mean(build_fp_model(preempt_only_params(mu1, mu2)))
+    mean = paoi_mean(build_fp_model(FpParams(mu1, mu2, freeze_rate, k)))
+    assert mean >= bound * (1.0 - 1e-9)
