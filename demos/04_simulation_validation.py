@@ -43,7 +43,7 @@ print(f"  simulated mean age {res.mean_aoi:.5f} vs analytic {summary.mean_aoi:.5
 print(f"  sup distance, age cdf:      {ks_against_table(res, summary.aoi_table):.5f}")
 print(f"  sup distance, peak-age cdf: {ks_against_table(res, summary.paoi_table):.5f}")
 print(f"  source preemptions: {res.stats['preemptions']}, "
-      f"stale deliveries: {res.stats['out_of_order_deliveries']}")
+      f"monitor discards: {res.stats['monitor_discards']}")
 
 # Reruns with the same seed are bit-identical.
 again = simulate(cfg, keep_samples=True)

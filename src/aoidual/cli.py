@@ -15,19 +15,19 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
 from . import __version__, _io
 from .fp import FpParams, build_fp_model, preempt_only_params
-from .metrics import GridSpec, summarize
+from .metrics import GridSpec, aoi_mean, paoi_mean, summarize
 from .optimize import optimize_freeze
 from .sim import FP, POLICIES, ZW, SimConfig, simulate
 from .zw import ZwParams, build_zw_amc, zw_closed_form_means
-
-FIGURE_IDS = ("3a", "3b", "4", "5", "6")
 
 #: Freeze rates swept in the rate-dependence figures.
 _RATE_GRID = np.logspace(np.log10(0.05), np.log10(100.0), 30)
@@ -39,30 +39,16 @@ class UsageError(Exception):
     """Invalid flag combination or value; maps to exit code 2."""
 
 
-def _out_dir(args, command: str) -> str:
-    if args.out:
-        path = args.out
-    else:
-        root = os.environ.get("AOIDUAL_OUT_ROOT", "out")
-        stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
-        path = os.path.join(root, f"{command}-{stamp}")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_manifest(outdir: str, command: str, params: dict, outputs: list,
-                    started: float, seed=None) -> None:
-    manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
-        "version": __version__,
-        "parameters": params,
-        "seed": seed,
-        "outputs": [os.path.basename(p) for p in outputs],
-        "duration_s": time.time() - started,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    _io.write_json(os.path.join(outdir, "manifest.json"), manifest)
+def _out_dir(path, command: str) -> str:
+    """``path``, or a new ``<command>-<stamp>-<suffix>`` directory under
+    ``$AOIDUAL_OUT_ROOT`` (default ``out``) that no other run shares."""
+    if path:
+        os.makedirs(path, exist_ok=True)
+        return path
+    root = os.environ.get("AOIDUAL_OUT_ROOT", "out")
+    os.makedirs(root, exist_ok=True)
+    stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
+    return tempfile.mkdtemp(prefix=f"{command}-{stamp}-", dir=root)
 
 
 def _flag_values(args) -> dict:
@@ -99,26 +85,21 @@ def _model_params(raw: dict, where: str):
     return preempt_only_params(*values)
 
 
-def cmd_analyze(args) -> int:
-    started = time.time()
+# Each command computes its results and returns what main writes: the
+# manifest's parameters and seed, {file name: writer taking the path},
+# and the report printed before the output directory.
+
+def cmd_analyze(args):
     params = _model_params(_flag_values(args), "--{}")
     chain = build_zw_amc(params) if args.policy == ZW else build_fp_model(params)
-    grid = GridSpec(points=args.grid_points, max_mult=args.grid_max)
-    summary = summarize(chain, grid)
-    outdir = _out_dir(args, "analyze")
-    paths = [os.path.join(outdir, name) for name in
-             ("summary.json", "aoi_table.csv", "paoi_table.csv")]
-    summary.to_json(paths[0])
-    summary.aoi_table.to_csv(paths[1])
-    summary.paoi_table.to_csv(paths[2])
+    summary = summarize(chain, GridSpec(points=args.grid_points, max_mult=args.grid_max))
     fields = {**_flag_values(args), "grid_points": args.grid_points,
               "grid_max": args.grid_max}
-    _write_manifest(outdir, "analyze",
-                    {k: v for k, v in fields.items() if v is not None},
-                    paths, started)
-    print(f"mean_aoi={summary.mean_aoi:.12g} mean_paoi={summary.mean_paoi:.12g}")
-    print(f"wrote {outdir}")
-    return 0
+    files = {"summary.json": summary.to_json,
+             "aoi_table.csv": summary.aoi_table.to_csv,
+             "paoi_table.csv": summary.paoi_table.to_csv}
+    return ({k: v for k, v in fields.items() if v is not None}, None, files,
+            f"mean_aoi={summary.mean_aoi:.12g} mean_paoi={summary.mean_paoi:.12g}")
 
 
 def _sim_config_from_args(args) -> SimConfig:
@@ -149,40 +130,28 @@ def _sim_config_from_args(args) -> SimConfig:
                      replications=field("reps", 2))
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
+def cmd_simulate(args):
     cfg = _sim_config_from_args(args)
     result = simulate(cfg, keep_samples=False)
-    outdir = _out_dir(args, "simulate")
-    paths = [os.path.join(outdir, name) for name in
-             ("result.json", "aoi_ecdf.csv", "paoi_ecdf.csv")]
-    result.to_json(paths[0])
-    result.write_cdf_csvs(paths[1], paths[2])
-    _write_manifest(outdir, "simulate", dict(cfg.describe()), paths,
-                    started, seed=cfg.seed)
-    print(f"mean_aoi={result.mean_aoi:.12g} +- {result.se_aoi:.3g} (se)")
-    print(f"mean_paoi={result.mean_paoi:.12g} +- {result.se_paoi:.3g} (se)")
-    print(f"wrote {outdir}")
-    return 0
+    files = {"result.json": result.to_json,
+             "aoi_ecdf.csv": partial(result.cdf_to_csv, "aoi"),
+             "paoi_ecdf.csv": partial(result.cdf_to_csv, "paoi")}
+    return (dict(cfg.describe()), cfg.seed, files,
+            f"mean_aoi={result.mean_aoi:.12g} +- {result.se_aoi:.3g} (se)\n"
+            f"mean_paoi={result.mean_paoi:.12g} +- {result.se_paoi:.3g} (se)")
 
 
-def cmd_optimize(args) -> int:
-    started = time.time()
+def cmd_optimize(args):
     result = optimize_freeze(args.mu1, args.mu2, args.k,
                              bracket=(args.bracket_lo, args.bracket_hi),
                              rtol=args.rtol)
-    outdir = _out_dir(args, "optimize")
-    path = os.path.join(outdir, "optimum.json")
-    result.to_json(path)
-    params = {"mu1": args.mu1, "mu2": args.mu2, "k": args.k,
-              "bracket": [args.bracket_lo, args.bracket_hi], "rtol": args.rtol}
-    _write_manifest(outdir, "optimize", params, [path], started)
-    print(f"lambda_star={result.lambda_star:.12g} f_star={result.f_star:.12g} "
-          f"reduction_pct={result.reduction_pct:.12g}")
     if result.boundary_hit:
         print("warning: optimum at bracket boundary", file=sys.stderr)
-    print(f"wrote {outdir}")
-    return 0
+    params = {"mu1": args.mu1, "mu2": args.mu2, "k": args.k,
+              "bracket": [args.bracket_lo, args.bracket_hi], "rtol": args.rtol}
+    return (params, None, {"optimum.json": result.to_json},
+            f"lambda_star={result.lambda_star:.12g} f_star={result.f_star:.12g} "
+            f"reduction_pct={result.reduction_pct:.12g}")
 
 
 def _figure_cdfs(args, kind: str) -> list:
@@ -205,17 +174,17 @@ def _figure_cdfs(args, kind: str) -> list:
     return rows
 
 
-def _figure_rate_sweep(args, kind: str) -> list:
+def _figure_rate_sweep(kind: str) -> list:
     """Mean age or peak age versus freeze rate, with zero-wait reference."""
     mu2, k = 0.1, 50
+    mean = aoi_mean if kind == "aoi" else paoi_mean
     rows = []
     for mu1 in (0.1, 0.5):
         zw = zw_closed_form_means(ZwParams(mu1, mu2))
         ref = zw.mean_aoi if kind == "aoi" else zw.mean_paoi
         for rate in _RATE_GRID:
             chain = build_fp_model(FpParams(mu1, mu2, rate, k))
-            summary_val = _mean_of(chain, kind)
-            rows.append((f"fp_mu1_{mu1:g}", rate, summary_val))
+            rows.append((f"fp_mu1_{mu1:g}", rate, mean(chain)))
         for rate in _RATE_GRID:
             rows.append((f"zw_mu1_{mu1:g}", rate, ref))
         if kind == "aoi":
@@ -225,16 +194,8 @@ def _figure_rate_sweep(args, kind: str) -> list:
     return rows
 
 
-def _mean_of(chain, kind: str) -> float:
-    from .metrics import aoi_mean, paoi_mean
-
-    return aoi_mean(chain) if kind == "aoi" else paoi_mean(chain)
-
-
 def _figure_optimum_sweep() -> list:
     """Optimal freeze time and reduction versus the slow server's rate."""
-    from .metrics import aoi_mean
-
     rows = []
     for mu2 in _MU2_GRID:
         zw = zw_closed_form_means(ZwParams(1.0, mu2)).mean_aoi
@@ -248,34 +209,28 @@ def _figure_optimum_sweep() -> list:
     return rows
 
 
-def cmd_figure(args) -> int:
-    started = time.time()
-    fid = args.id
-    outdir = _out_dir(args, "figure")
-    path = os.path.join(outdir, f"fig{fid}.csv")
-    if fid == "3a":
-        header, rows = ["curve", "x", "cdf"], _figure_cdfs(args, "paoi")
-    elif fid == "3b":
-        header, rows = ["curve", "x", "cdf"], _figure_cdfs(args, "aoi")
-    elif fid == "4":
-        header = ["curve", "lambda", "mean_paoi"]
-        rows = _figure_rate_sweep(args, "paoi")
-    elif fid == "5":
-        header = ["curve", "lambda", "mean_aoi"]
-        rows = _figure_rate_sweep(args, "aoi")
-    else:
-        header = ["policy", "mu2", "k", "lambda_star", "f_star",
-                  "aoi_star", "zw_aoi", "reduction_pct"]
-        rows = _figure_optimum_sweep()
-    _io.write_csv(path, header, zip(*rows))
-    params = {"figure": fid}
-    seed = None
-    if fid in ("3a", "3b"):
+#: Figure id -> (CSV header, rows from the parsed arguments).
+_FIGURES = {
+    "3a": (["curve", "x", "cdf"], lambda args: _figure_cdfs(args, "paoi")),
+    "3b": (["curve", "x", "cdf"], lambda args: _figure_cdfs(args, "aoi")),
+    "4": (["curve", "lambda", "mean_paoi"], lambda args: _figure_rate_sweep("paoi")),
+    "5": (["curve", "lambda", "mean_aoi"], lambda args: _figure_rate_sweep("aoi")),
+    "6": (["policy", "mu2", "k", "lambda_star", "f_star", "aoi_star", "zw_aoi",
+           "reduction_pct"], lambda args: _figure_optimum_sweep()),
+}
+FIGURE_IDS = tuple(_FIGURES)
+
+
+def cmd_figure(args):
+    header, rows_of = _FIGURES[args.id]
+    columns = list(zip(*rows_of(args)))
+    params, seed = {"figure": args.id}, None
+    if args.id in ("3a", "3b"):
         params.update(cycles=args.cycles, seed=args.seed)
         seed = args.seed
-    _write_manifest(outdir, "figure", params, [path], started, seed=seed)
-    print(f"wrote {path}")
-    return 0
+    return (params, seed,
+            {f"fig{args.id}.csv": partial(_io.write_csv, header=header, columns=columns)},
+            "")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,14 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        params, seed, files, report = args.func(args)
+        outdir = _out_dir(args.out, args.command)
+        for name, write in files.items():
+            write(os.path.join(outdir, name))
+        _io.write_json(os.path.join(outdir, "manifest.json"), {
+            "command": args.command, "argv": argv, "version": __version__,
+            "parameters": params, "seed": seed, "outputs": list(files),
+            "duration_s": time.time() - started,
+            "created_utc": datetime.now(timezone.utc).isoformat()})
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
+    if report:
+        print(report)
+    print(f"wrote {outdir}")
+    return 0
 

@@ -82,12 +82,9 @@ class DistributionTable:
         _io.write_csv(path, ["x", "pdf", "cdf"], (self.grid, self.pdf, self.cdf))
 
     def payload(self) -> dict:
-        return {"grid": self.grid, "pdf": self.pdf, "cdf": self.cdf,
-                "mean": self.mean, "second_moment": self.second_moment,
+        """Moments and ``meta``; the arrays go to :meth:`to_csv` only."""
+        return {"mean": self.mean, "second_moment": self.second_moment,
                 "variance": self.variance, "meta": dict(self.meta)}
-
-    def to_json(self, path) -> None:
-        _io.write_json(path, self.payload())
 
 
 @dataclass(frozen=True, eq=False)

@@ -125,8 +125,9 @@ class SimResult:
     Point estimates are unweighted means of the per-replication means;
     standard errors are computed across replications and are NaN for a
     single replication. The stored cdfs are downsampled to
-    ``CDF_POINTS`` quantile-spaced points; exact per-cycle samples are
-    kept in ``samples`` when requested.
+    ``CDF_POINTS`` quantile-spaced points and written by
+    :meth:`cdf_to_csv`, not in :meth:`payload`; exact per-cycle samples
+    are kept in ``samples`` when requested.
     """
 
     mean_aoi: float
@@ -155,8 +156,6 @@ class SimResult:
             "se_aoi": self.se_aoi, "se_paoi": self.se_paoi,
             "rep_mean_aoi": self.rep_mean_aoi,
             "rep_mean_paoi": self.rep_mean_paoi,
-            "aoi_cdf_x": self.aoi_cdf_x, "aoi_cdf_y": self.aoi_cdf_y,
-            "paoi_cdf_x": self.paoi_cdf_x, "paoi_cdf_y": self.paoi_cdf_y,
             "cycle_count": self.cycle_count, "seed": self.seed,
             "config": dict(self.config), "stats": dict(self.stats),
         }
@@ -164,9 +163,11 @@ class SimResult:
     def to_json(self, path) -> None:
         _io.write_json(path, self.payload())
 
-    def write_cdf_csvs(self, aoi_path, paoi_path) -> None:
-        _io.write_csv(aoi_path, ["x", "cdf"], (self.aoi_cdf_x, self.aoi_cdf_y))
-        _io.write_csv(paoi_path, ["x", "cdf"], (self.paoi_cdf_x, self.paoi_cdf_y))
+    def cdf_to_csv(self, kind: str, path) -> None:
+        """Write the empirical cdf of ``kind``, ``"aoi"`` or ``"paoi"``."""
+        columns = ((self.aoi_cdf_x, self.aoi_cdf_y) if kind == "aoi"
+                   else (self.paoi_cdf_x, self.paoi_cdf_y))
+        _io.write_csv(path, ["x", "cdf"], columns)
 
 
 #: Number of quantile points kept in serialized empirical cdfs.
@@ -213,8 +214,7 @@ def _run_zw(mu1, mu2, horizon, rng):
             break
     fresh = fresh[:horizon]
     stats = {"monitor_discards": int(fresh[-1]) + 1 - horizon, "preemptions": 0,
-             "out_of_order_deliveries": 0, "entry_counts": (0, 0, 0),
-             "elapsed": float(t[fresh[-1]])}
+             "entry_counts": (0, 0, 0), "elapsed": float(t[fresh[-1]])}
     return t[fresh], gen[fresh], stats
 
 
@@ -233,7 +233,6 @@ def _run_po(mu1, mu2, horizon, rng):
     # server 2 restarts at t = 0 and at every event but a lone server-1 restart
     alone1 = int(np.count_nonzero(m1 & ~preempt))
     stats = {"monitor_discards": 0, "preemptions": n_pre,
-             "out_of_order_deliveries": 0,
              "entry_counts": (1 + n_pre, 1 + horizon - alone1, alone1),
              "elapsed": float(t[-1])}
     return t, gen, stats
@@ -309,7 +308,6 @@ def _run_fp(p, horizon, rng):
         preempts += int(np.count_nonzero(pre[:used]))
     d = np.concatenate(delivered)
     stats = {"monitor_discards": 0, "preemptions": preempts,
-             "out_of_order_deliveries": 0,
              "entry_counts": tuple(entry.tolist()), "elapsed": float(d[-1])}
     return d, np.concatenate(generated), stats
 
@@ -365,8 +363,7 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
     rep_paoi = np.empty(cfg.replications)
     all_u, all_len, all_peak = [], [], []
     totals: dict = {"monitor_discards": 0, "preemptions": 0,
-                    "out_of_order_deliveries": 0, "entry_counts": (0, 0, 0),
-                    "elapsed": 0.0}
+                    "entry_counts": (0, 0, 0), "elapsed": 0.0}
     per_rep: dict = {"entry_counts": [], "elapsed": []}
     p = cfg.params
     for rep in range(cfg.replications):
@@ -383,8 +380,7 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
         all_u.append(u)
         all_len.append(length)
         all_peak.append(peak)
-        for key in ("monitor_discards", "preemptions", "out_of_order_deliveries",
-                    "elapsed"):
+        for key in ("monitor_discards", "preemptions", "elapsed"):
             totals[key] += stats[key]
         totals["entry_counts"] = tuple(
             a + b for a, b in zip(totals["entry_counts"], stats["entry_counts"]))

@@ -8,9 +8,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import aoidual
+from aoidual import (FpParams, GridSpec, SimConfig, ZwParams, build_fp_model,
+                     simulate, summarize)
 from aoidual.cli import main
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
@@ -284,6 +287,120 @@ class TestFigure:
             run(["figure", "9"])
         assert exc.value.code == 2
         assert "3a" in capsys.readouterr().err  # lists the valid ids
+
+
+def _lists(obj):
+    """Every list nested anywhere in a parsed JSON object."""
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in _lists(v)]
+    if isinstance(obj, list):
+        return [obj] + [x for v in obj for x in _lists(v)]
+    return []
+
+
+def _roundtrip(obj):
+    return json.loads(json.dumps(aoidual._io._jsonable(obj)))
+
+
+def _columns(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+
+class TestOutputs:
+    """Arrays are written once, to CSV; JSON holds scalars, moments and meta."""
+
+    @pytest.fixture
+    def analyzed(self, tmp_path):
+        """An ``analyze`` output directory and the summary it was written from."""
+        out = tmp_path / "fp"
+        assert run(["analyze", "--policy", "fp", "--mu1", "0.5", "--mu2", "0.1",
+                    "--lambda", "1", "--k", "3", "--grid-points", "300",
+                    "--out", str(out)]) == 0
+        return out, summarize(build_fp_model(FpParams(0.5, 0.1, 1.0, 3)),
+                              GridSpec(points=300))
+
+    def test_summary_json_holds_scalars_only(self, analyzed):
+        out, summary = analyzed
+        payload = json.loads((out / "summary.json").read_text())
+        assert set(payload) == {"mean_aoi", "mean_paoi", "aoi_moments",
+                                "paoi_moments", "p_success", "aoi_table",
+                                "paoi_table", "meta"}
+        assert payload["mean_aoi"] == summary.mean_aoi
+        assert payload["mean_paoi"] == summary.mean_paoi
+        assert payload["aoi_moments"] == list(summary.aoi_moments)
+        assert payload["paoi_moments"] == list(summary.paoi_moments)
+        assert payload["p_success"] == summary.p_success
+        assert payload["meta"] == _roundtrip(dict(summary.meta))
+        for kind in ("aoi", "paoi"):
+            table = getattr(summary, f"{kind}_table")
+            assert payload[f"{kind}_table"] == {
+                "mean": table.mean, "second_moment": table.second_moment,
+                "variance": table.variance, "meta": _roundtrip(dict(table.meta))}
+        assert max(map(len, _lists(payload))) <= 3
+
+    def test_table_csvs_parse_back_to_the_tables(self, analyzed):
+        out, summary = analyzed
+        for kind in ("aoi", "paoi"):
+            table = getattr(summary, f"{kind}_table")
+            x, pdf, cdf = _columns(out / f"{kind}_table.csv")
+            for read, held in ((x, table.grid), (pdf, table.pdf), (cdf, table.cdf)):
+                np.testing.assert_allclose(read, held, rtol=5e-12, atol=0)
+
+    def test_result_json_holds_scalars_and_replications(self, tmp_path):
+        out = tmp_path / "zw"
+        assert run(["simulate", "--policy", "zw", "--mu1", "1", "--mu2", "0.5",
+                    "--cycles", "5000", "--seed", "4", "--reps", "3",
+                    "--out", str(out)]) == 0
+        result = simulate(SimConfig(ZwParams(1.0, 0.5), "zw", horizon=5000, seed=4,
+                                    replications=3), keep_samples=False)
+        payload = json.loads((out / "result.json").read_text())
+        assert payload == {
+            "mean_aoi": result.mean_aoi, "mean_paoi": result.mean_paoi,
+            "se_aoi": result.se_aoi, "se_paoi": result.se_paoi,
+            "rep_mean_aoi": result.rep_mean_aoi.tolist(),
+            "rep_mean_paoi": result.rep_mean_paoi.tolist(),
+            "cycle_count": result.cycle_count, "seed": 4,
+            "config": _roundtrip(dict(result.config)),
+            "stats": _roundtrip(dict(result.stats))}
+        assert set(payload["stats"]) == {"monitor_discards", "preemptions",
+                                         "entry_counts", "elapsed", "per_rep"}
+        for kind in ("aoi", "paoi"):
+            x, cdf = _columns(out / f"{kind}_ecdf.csv")
+            np.testing.assert_allclose(x, getattr(result, f"{kind}_cdf_x"),
+                                       rtol=5e-12, atol=0)
+            np.testing.assert_allclose(cdf, getattr(result, f"{kind}_cdf_y"),
+                                       rtol=5e-12, atol=0)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--policy", "zw", "--mu1", "1", "--mu2", "1",
+         "--grid-points", "50"],
+        ["simulate", "--policy", "zw", "--mu1", "1", "--mu2", "1",
+         "--cycles", "2000", "--reps", "2"],
+        ["optimize", "--mu1", "1", "--mu2", "1", "--k", "2"],
+        ["figure", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_lists_every_output(self, tmp_path, argv):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["argv"] == argv + ["--out", str(out)]
+        assert sorted(manifest["outputs"]) == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    def test_default_directories_are_not_shared(self, tmp_path, monkeypatch, capsys):
+        # two runs within the same second still get a directory each
+        monkeypatch.setenv("AOIDUAL_OUT_ROOT", str(tmp_path))
+        for mu1 in ("1", "2"):
+            assert run(["analyze", "--policy", "zw", "--mu1", mu1, "--mu2", "1",
+                        "--grid-points", "20"]) == 0
+        dirs = sorted(tmp_path.iterdir())
+        assert len(dirs) == 2
+        assert all(d.name.startswith("analyze-") for d in dirs)
+        mu1s = {json.loads((d / "manifest.json").read_text())["parameters"]["mu1"]
+                for d in dirs}
+        assert mu1s == {1.0, 2.0}
+        assert capsys.readouterr().out.count("wrote ") == 2
 
 
 def _pyproject():

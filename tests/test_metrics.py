@@ -232,7 +232,8 @@ class TestSerialization:
         summary.to_json(path)
         payload = json.loads(path.read_text())
         assert payload["mean_aoi"] == pytest.approx(1.25)
-        assert len(payload["aoi_table"]["grid"]) == 51
+        # the arrays live in the table CSVs only
+        assert set(payload["aoi_table"]) == {"mean", "second_moment", "variance", "meta"}
         assert payload["meta"]["policy"] == "zw"
         assert payload["aoi_table"]["meta"]["kernel"] == "single_pass"
         assert set(payload["paoi_table"]["meta"]) >= {

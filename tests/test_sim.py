@@ -123,7 +123,6 @@ class TestFreezePreempt:
         cfg = SimConfig(FpParams(0.5, 0.1, 1.0, 3), FP, horizon=50_000, seed=4)
         res = simulate(cfg)
         assert res.stats["monitor_discards"] == 0
-        assert res.stats["out_of_order_deliveries"] == 0
         assert res.stats["preemptions"] > 0
 
     def test_means_match_analytic_model(self):
@@ -330,7 +329,6 @@ class TestArrayPolicies:
         assert d.tolist() == old.delivered
         assert g.tolist() == old.generated
         assert stats["elapsed"] == old.delivered[-1]
-        assert stats["out_of_order_deliveries"] == 0
         for key, value in ref.items():
             assert stats[key] == value, key
         u, length, peak = sim._cycles(d, g, warmup)
@@ -357,7 +355,6 @@ class TestArrayPolicies:
         assert d.tolist() == old.delivered
         assert g.tolist() == old.generated
         assert stats["elapsed"] == old.delivered[-1]
-        assert stats["out_of_order_deliveries"] == 0
         for key, value in ref.items():
             assert stats[key] == value, key
         u, length, peak = sim._cycles(d, g, warmup)
@@ -483,7 +480,7 @@ class TestSerialization:
         cfg = SimConfig(ZwParams(1.0, 0.2), ZW, horizon=5_000, seed=3)
         res = simulate(cfg, keep_samples=False)
         res.to_json(tmp_path / "result.json")
-        res.write_cdf_csvs(tmp_path / "aoi.csv", tmp_path / "paoi.csv")
+        res.cdf_to_csv("aoi", tmp_path / "aoi.csv")
         payload = json.loads((tmp_path / "result.json").read_text())
         assert payload["config"]["policy"] == "zw"
         assert payload["cycle_count"] == res.cycle_count
