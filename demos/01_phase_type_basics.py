@@ -1,19 +1,20 @@
 """Phase-type building blocks.
 
 A phase-type distribution is the law of the time an absorbing CTMC
-spends among its transient states. Everything downstream (the policy
-models, their age distributions) is built from the pieces shown here:
-construction, density/cdf evaluation, moments, and the Erlang family
-used to model freeze durations.
+spends among its transient states, so `phase_type(sigma, S)` returns
+that chain, the same `AbsorbingChain` every policy model is. Everything
+downstream (the policy models, their age distributions) is built from
+the pieces shown here: construction, density/cdf evaluation, moments,
+and the Erlang family used to model freeze durations.
 """
 
 import numpy as np
 
-from aoidual import PhaseType, erlang_ph, ph_cdf, ph_moment, ph_pdf
+from aoidual import erlang_ph, ph_cdf, ph_moment, ph_pdf, phase_type
 
 # An exponential with rate 2 is the simplest phase type: one transient
 # state, exit rate 2.
-expo = PhaseType([1.0], [[-2.0]])
+expo = phase_type([1.0], [[-2.0]])
 print("exponential(2):")
 print("  pdf(0)  =", ph_pdf(expo, 0.0), "(equals the rate)")
 print("  cdf(1)  =", ph_cdf(expo, 1.0))
@@ -35,7 +36,7 @@ for k in (1, 4, 16, 64):
 
 # Mixtures and general transient structure work the same way; any valid
 # sub-generator is accepted.
-ph = PhaseType([0.6, 0.4], [[-3.0, 1.0], [0.5, -2.0]])
+ph = phase_type([0.6, 0.4], [[-3.0, 1.0], [0.5, -2.0]])
 xs = np.linspace(0.0, 4.0, 9)
 print("\ngeneral 2-phase example, pdf on a grid:")
 print(" ", np.array_str(ph_pdf(ph, xs), precision=4))

@@ -3,20 +3,18 @@ update systems.
 
 Exact distributions and moments of the age and peak-age processes under
 the zero-wait and freeze/preempt policies, computed from absorbing
-Markov chain representations; a simulator for validation;
+Markov chain representations; a plain phase-type law (``phase_type``,
+``erlang_ph``) is such a chain too, and ``ph_pdf``/``ph_cdf``/``ph_moment``
+give the absorption time of any of them. A simulator for validation;
 and a golden-section optimizer for the freeze rate.
 """
 
 from .phasetype import (
     AbsorbingChain,
-    PhaseType,
     absorption_probability,
     erlang_ph,
-    expm_action,
     expm_action_grid,
-    ph_cdf,
-    ph_moment,
-    ph_pdf,
+    phase_type,
 )
 from .zw import ZwParams, build_zw_amc, zw_closed_form_means, zw_explicit_inverse
 from .fp import (
@@ -44,6 +42,9 @@ from .metrics import (
     paoi_mean,
     paoi_moment,
     paoi_pdf,
+    ph_cdf,
+    ph_moment,
+    ph_pdf,
     summarize,
 )
 from .sim import (
@@ -64,15 +65,15 @@ from .optimize import OptResult, golden_section_min, optimize_freeze
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorbingChain", "PhaseType", "absorption_probability", "erlang_ph",
-    "expm_action", "expm_action_grid", "ph_cdf", "ph_moment", "ph_pdf",
+    "AbsorbingChain", "absorption_probability", "erlang_ph",
+    "expm_action_grid", "phase_type",
     "ZwParams", "build_zw_amc", "zw_closed_form_means", "zw_explicit_inverse",
     "FpParams", "FpStateIndex", "RmcStateIndex", "StationarySolution",
     "build_fp_amc", "build_fp_model", "build_fp_rmc", "fp_aoi_mask",
     "fp_initial_vector", "preempt_only_params", "rmc_stationary",
     "AoiSummary", "DistributionTable", "GridSpec", "aoi_cdf", "aoi_mean",
     "aoi_moment", "aoi_pdf", "paoi_cdf", "paoi_mean", "paoi_moment",
-    "paoi_pdf", "summarize",
+    "paoi_pdf", "ph_cdf", "ph_moment", "ph_pdf", "summarize",
     "FP", "FP_PREEMPT_ONLY", "ZW", "SimConfig", "SimResult",
     "empirical_aoi_cdf", "empirical_paoi_cdf", "empirical_vs_analytic",
     "ks_against_table", "ks_distance", "simulate",

@@ -1,13 +1,15 @@
-"""Age and peak-age distributions of an absorbing cycle chain.
+"""Age, peak-age and phase-type distributions of an absorbing chain.
 
 The peak age of a cycle is the chain's absorption time conditioned on
 ending in the successful column; the stationary age density is the
 (normalized) probability of occupying an age-overlap state at elapsed
-time ``x``. Both are the matrix-exponential law of ``phasetype`` that
-also serves plain phase-type variables, and differ only in the weighting
-vector: the successful absorption rates for peak age, the age-overlap
-mask for age, so one walk of the kernel tabulates both. All conditioning
-follows the defining ratios directly; no renormalized sub-chain is built.
+time ``x``; a phase-type variable is the plain absorption time. All
+three are the matrix-exponential law of ``phasetype`` and differ only in
+the weighting vector: the successful absorption rates for peak age, the
+age-overlap mask for age, all absorption rates for the phase type, so
+one walk of the kernel tabulates age and peak age together. All
+conditioning follows the defining ratios directly; no renormalized
+sub-chain is built.
 """
 
 from __future__ import annotations
@@ -125,17 +127,36 @@ class AoiSummary:
 
 
 # ---------------------------------------------------------------------------
-# conditional laws: one matrix-exponential law per weighting vector
+# one matrix-exponential law per weighting vector
 # ---------------------------------------------------------------------------
 
 def _law(chain: AbsorbingChain, kind: str) -> _Law:
-    if kind == "paoi":
-        w = chain.V[:, 0]
-    elif kind == "aoi":
+    if kind == "aoi":
         w = chain.aoi_mask
+    elif kind == "paoi":
+        w = chain.V[:, 0]
+    elif kind == "ph":
+        w = chain.V.sum(axis=1)
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    return _Law(chain.S_csc, chain.require_init(), w, chain.solve_right)
+    return _Law(chain, w)
+
+
+def ph_pdf(chain: AbsorbingChain, x):
+    """Absorption-time density ``init expm(Sx) V 1`` at ``x`` (scalar or
+    array); for :func:`phase_type` ``(sigma, S)`` this is ``sigma expm(Sx) nu``."""
+    return _law(chain, "ph").at(x)[0]
+
+
+def ph_cdf(chain: AbsorbingChain, x):
+    """Absorption-time cdf ``init (expm(Sx) - I) S^{-1} V 1``."""
+    return _law(chain, "ph").at(x)[1]
+
+
+def ph_moment(chain: AbsorbingChain, i: int) -> float:
+    """``i``-th non-central moment of the absorption time,
+    ``(-1)^{i+1} i! init S^{-(i+1)} V 1``."""
+    return _law(chain, "ph").moment(i)
 
 
 def paoi_pdf(chain: AbsorbingChain, x):

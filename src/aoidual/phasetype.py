@@ -1,11 +1,13 @@
-"""Phase-type distributions and absorbing continuous-time Markov chains.
+"""Absorbing continuous-time Markov chains and their phase-type laws.
 
 A phase-type random variable is the time to absorption of a CTMC with
 transient generator block ``S`` (all states transient, so ``S`` is
-nonsingular) started from an initial probability vector ``sigma``. This
-module holds the numerics every policy model builds on: densities, cdfs,
-non-central moments, absorption probabilities, and the matrix-exponential
-action computed by uniformization.
+nonsingular) started from an initial probability vector ``sigma``, so it
+is held as an :class:`AbsorbingChain` like every policy model. This
+module holds the numerics they all build on: the chain, absorption
+probabilities, the matrix-exponential action computed by uniformization,
+and the one law whose densities, cdfs and non-central moments
+``metrics`` evaluates.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -99,63 +101,6 @@ def _checked_init(init, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseType:
-    """Phase-type distribution ``(sigma, S)`` of order ``len(sigma)``.
-
-    Parameters
-    ----------
-    sigma : array_like
-        Initial probability row vector. Entries are nonnegative and sum
-        to at most 1; a deficit is allowed for conditional constructions.
-    S : array_like
-        Square sub-generator over the transient states: nonnegative
-        off-diagonal rates, nonpositive diagonal, nonpositive row sums,
-        and nonsingular (every state transient).
-
-    Raises
-    ------
-    ValueError
-        If any structural invariant fails, or if ``S`` is singular.
-    """
-
-    sigma: np.ndarray
-    S: np.ndarray
-
-    def __post_init__(self):
-        sigma = _as_float_array(self.sigma, "sigma", 1)
-        S = _as_float_array(self.S, "S", 2)
-        n = sigma.shape[0]
-        if S.shape != (n, n):
-            raise ValueError(f"S must be {n}x{n} to match sigma, got {S.shape}")
-        if np.any(sigma < 0):
-            raise ValueError("sigma has negative entries")
-        if sigma.sum() > 1.0 + STRUCT_TOL:
-            raise ValueError("sigma sums to more than one")
-        S_csc, lu = _factored(S)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "S_csc", S_csc)
-        object.__setattr__(self, "_lu", lu)
-
-    @property
-    def order(self) -> int:
-        return self.sigma.shape[0]
-
-    @property
-    def nu(self) -> np.ndarray:
-        """Exit rate vector ``-S @ 1``."""
-        return -self.S.sum(axis=1)
-
-    def solve_right(self, b: np.ndarray) -> np.ndarray:
-        """Return ``S^{-1} b`` for a column vector ``b``."""
-        return self._lu.solve(b)
-
-    @cached_property
-    def _law(self) -> "_Law":
-        return _Law(self.S_csc, self.sigma, self.nu, self.solve_right, 1.0)
-
-
-@dataclass(frozen=True, eq=False)
 class AbsorbingChain:
     """Absorbing CTMC with transient block ``S`` and absorbing rates ``V``.
 
@@ -165,7 +110,8 @@ class AbsorbingChain:
     attaches its closed-form vector with :meth:`with_init`). ``aoi_mask``
     selects the transient states whose occupancy overlaps the age
     sawtooth. Column 0 of ``V`` is the success column: absorbing there
-    ends a cycle with a fresh reception.
+    ends a cycle with a fresh reception. A plain phase-type law is the
+    chain with one absorbing column (:func:`phase_type`).
 
     The block is given dense or sparse and held as the CSC matrix
     ``S_csc`` with one sparse LU factor, which every computation uses.
@@ -418,34 +364,6 @@ def _prefer_squaring(mass: float, points: int, order: int, nnz: int) -> bool:
     return square < walk
 
 
-def expm_action(S, x: float, v) -> np.ndarray:
-    """Evaluate the row-vector action ``v @ expm(S * x)``.
-
-    Uses uniformization: with ``rate = max_i |S_ii|`` and the substochastic
-    matrix ``P = I + S/rate``, the action is the Poisson-weighted sum of
-    ``v @ P^j``. Every intermediate quantity is nonnegative when ``v`` is,
-    and the series is truncated so that the discarded Poisson mass stays
-    below ``EXPM_TAIL``. See :func:`expm_action_grid`.
-
-    Parameters
-    ----------
-    S : array_like or sparse matrix
-        Sub-generator (square).
-    x : float
-        Nonnegative time.
-    v : array_like
-        Row vector of matching length.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``v @ expm(S x)``.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return expm_action_grid(S, [x], v)[0]
-
-
 def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
     """Evaluate ``v @ expm(S * x) @ W`` for every ``x`` of a grid.
 
@@ -521,27 +439,27 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
 # ---------------------------------------------------------------------------
 
 class _Law:
-    """The matrix-exponential law with density ``init expm(S x) w / denom``.
+    """The matrix-exponential law with density ``init expm(S x) w / denom``
+    of a chain and a weight ``w`` over its transient states.
 
     With ``y = S^{-1} w`` its cdf is ``init (expm(S x) - I) y / denom``
     and its ``i``-th non-central moment is
-    ``(-1)^{i+1} i! init S^{-i} y / denom``. A phase-type is the case
-    ``w = nu``, ``denom = 1``; age and peak age of a cycle chain weight by
-    the age mask or the success column, and by default ``denom`` is
-    ``-init y``, the mass of the weight under ``init``.
+    ``(-1)^{i+1} i! init S^{-i} y / denom``, where ``denom = -init y`` is
+    the mass of the weight under ``init``. Age, peak age and the plain
+    absorption time weight by the age mask, the success column and the
+    sum of the absorbing columns.
     """
 
-    def __init__(self, S, init, w, solve_right, denom=None):
-        self.S, self.init, self.w, self.solve_right = S, init, w, solve_right
-        self.y = solve_right(w)
+    def __init__(self, chain: AbsorbingChain, w):
+        self.S, self.init = chain.S_csc, chain.require_init()
+        self.solve_right = chain.solve_right
+        self.y = self.solve_right(w)
         #: the kernel projects ``init expm(S x)`` onto these two columns
         self.W = np.column_stack((w, self.y))
-        self._at_zero = init @ self.W
-        if denom is None:
-            denom = float(-(init @ self.y))
-            if denom <= 0:
-                raise ValueError("conditioning weight has zero mass under init")
-        self.denom = denom
+        self._at_zero = self.init @ self.W
+        self.denom = float(-(self.init @ self.y))
+        if self.denom <= 0:
+            raise ValueError("conditioning weight has zero mass under init")
 
     def pdf_cdf(self, proj):
         """Density and cdf from the projections ``init expm(S x) W``."""
@@ -574,21 +492,6 @@ class _Law:
         return self.moments(int(i))[-1]
 
 
-def ph_pdf(ph: PhaseType, x):
-    """Density ``sigma @ expm(S x) @ nu`` at ``x`` (scalar or array)."""
-    return ph._law.at(x)[0]
-
-
-def ph_cdf(ph: PhaseType, x):
-    """Cumulative distribution ``sigma (expm(S x) - I) S^{-1} nu``."""
-    return ph._law.at(x)[1]
-
-
-def ph_moment(ph: PhaseType, i: int) -> float:
-    """``i``-th non-central moment, ``(-1)^{i+1} i! sigma S^{-(i+1)} nu``."""
-    return ph._law.moment(i)
-
-
 def absorption_probability(chain: AbsorbingChain, m: int) -> float:
     """Probability ``-init S^{-1} V[:, m]`` of absorbing in column ``m``."""
     if not 0 <= m < chain.n_absorbing:
@@ -598,7 +501,19 @@ def absorption_probability(chain: AbsorbingChain, m: int) -> float:
     return float(-(row @ chain.V[:, m]))
 
 
-def erlang_ph(rate: float, k: int) -> PhaseType:
+def phase_type(sigma, S) -> AbsorbingChain:
+    """The phase-type law ``(sigma, S)`` as its absorbing chain.
+
+    ``S`` is a dense sub-generator over the transient states and
+    ``sigma`` an initial probability vector. The chain absorbs through
+    the one column of exit rates ``-S 1``, and its age mask holds every
+    state.
+    """
+    S = np.asarray(S, dtype=float)
+    return AbsorbingChain(S, -S.sum(axis=1)[:, None], sigma, np.ones(S.shape[0]))
+
+
+def erlang_ph(rate: float, k: int) -> AbsorbingChain:
     """Erlang-``k`` phase-type with mean ``1/rate``.
 
     Bidiagonal representation: ``k`` phases, each left at rate
@@ -616,4 +531,4 @@ def erlang_ph(rate: float, k: int) -> PhaseType:
         S += np.diag(np.full(k - 1, step), k=1)
     sigma = np.zeros(k)
     sigma[0] = 1.0
-    return PhaseType(sigma, S)
+    return phase_type(sigma, S)

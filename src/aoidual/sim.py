@@ -36,6 +36,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 from math import inf, nan, sqrt
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -214,7 +215,7 @@ def _run_zw(mu1, mu2, horizon, rng):
             break
     fresh = fresh[:horizon]
     stats = {"monitor_discards": int(fresh[-1]) + 1 - horizon, "preemptions": 0,
-             "entry_counts": (0, 0, 0), "elapsed": float(t[fresh[-1]])}
+             "elapsed": float(t[fresh[-1]])}
     return t[fresh], gen[fresh], stats
 
 
@@ -362,9 +363,8 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
     rep_aoi = np.empty(cfg.replications)
     rep_paoi = np.empty(cfg.replications)
     all_u, all_len, all_peak = [], [], []
-    totals: dict = {"monitor_discards": 0, "preemptions": 0,
-                    "entry_counts": (0, 0, 0), "elapsed": 0.0}
-    per_rep: dict = {"entry_counts": [], "elapsed": []}
+    totals: dict = {}
+    per_rep: dict = {}
     p = cfg.params
     for rep in range(cfg.replications):
         rng = _rep_rng(cfg.seed, rep)
@@ -380,12 +380,13 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
         all_u.append(u)
         all_len.append(length)
         all_peak.append(peak)
-        for key in ("monitor_discards", "preemptions", "elapsed"):
-            totals[key] += stats[key]
-        totals["entry_counts"] = tuple(
-            a + b for a, b in zip(totals["entry_counts"], stats["entry_counts"]))
-        per_rep["entry_counts"].append(stats["entry_counts"])
-        per_rep["elapsed"].append(stats["elapsed"])
+        for key, value in stats.items():  # only the counters this runner reports
+            if key in ("entry_counts", "elapsed"):
+                per_rep.setdefault(key, []).append(value)
+            if key in totals:
+                value = (tuple(map(add, totals[key], value)) if key == "entry_counts"
+                         else totals[key] + value)
+            totals[key] = value
 
     u = np.concatenate(all_u)
     length = np.concatenate(all_len)

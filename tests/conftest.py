@@ -22,12 +22,12 @@ def random_subgenerator(rng, n, scale=1.0):
 
 
 def random_phase_type(rng, n, scale=1.0):
-    from aoidual import PhaseType
+    from aoidual import phase_type
 
     S = random_subgenerator(rng, n, scale)
     sigma = rng.uniform(0.0, 1.0, size=n)
     sigma /= sigma.sum()
-    return PhaseType(sigma, S)
+    return phase_type(sigma, S)
 
 
 def sample_absorption(chain, n, rng):

@@ -363,7 +363,8 @@ class TestOutputs:
             "config": _roundtrip(dict(result.config)),
             "stats": _roundtrip(dict(result.stats))}
         assert set(payload["stats"]) == {"monitor_discards", "preemptions",
-                                         "entry_counts", "elapsed", "per_rep"}
+                                         "elapsed", "per_rep"}
+        assert set(payload["stats"]["per_rep"]) == {"elapsed"}
         for kind in ("aoi", "paoi"):
             x, cdf = _columns(out / f"{kind}_ecdf.csv")
             np.testing.assert_allclose(x, getattr(result, f"{kind}_cdf_x"),

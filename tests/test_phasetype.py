@@ -11,14 +11,12 @@ from aoidual import (
     AbsorbingChain,
     FpParams,
     GridSpec,
-    PhaseType,
     absorption_probability,
     aoi_cdf,
     aoi_pdf,
     build_fp_model,
     build_zw_amc,
     erlang_ph,
-    expm_action,
     expm_action_grid,
     paoi_cdf,
     paoi_moment,
@@ -26,6 +24,7 @@ from aoidual import (
     ph_cdf,
     ph_moment,
     ph_pdf,
+    phase_type,
     summarize,
     ZwParams,
 )
@@ -33,7 +32,7 @@ from conftest import random_phase_type, random_subgenerator, sample_absorption
 
 
 def exponential_ph(rate):
-    return PhaseType([1.0], [[-rate]])
+    return phase_type([1.0], [[-rate]])
 
 
 class TestPdf:
@@ -118,10 +117,10 @@ class TestExpmAction:
     def test_zero_time_is_identity(self, rng):
         S = random_subgenerator(rng, 6)
         v = rng.random(6)
-        np.testing.assert_array_equal(expm_action(S, 0.0, v), v)
+        np.testing.assert_array_equal(expm_action_grid(S, [0.0], v)[0], v)
 
     def test_scalar_case(self):
-        got = expm_action(np.array([[-3.0]]), 2.0, np.array([1.0]))
+        got = expm_action_grid(np.array([[-3.0]]), [2.0], np.array([1.0]))[0]
         assert got[0] == pytest.approx(math.exp(-6.0), rel=1e-12)
 
     def test_matches_taylor_series_oracle(self, rng):
@@ -133,14 +132,14 @@ class TestExpmAction:
         for j in range(1, 201):
             term = term @ (S * x) / j
             acc += term
-        np.testing.assert_allclose(expm_action(S, x, v), acc, atol=1e-9)
+        np.testing.assert_allclose(expm_action_grid(S, [x], v)[0], acc, atol=1e-9)
 
     @pytest.mark.parametrize("scale,x", [(1.0, 0.5), (5.0, 3.0), (40.0, 7.0)])
     def test_matches_scipy_expm(self, rng, scale, x):
         S = random_subgenerator(rng, 8, scale)
         v = rng.random(8)
         expected = v @ scipy.linalg.expm(S * x)
-        np.testing.assert_allclose(expm_action(S, x, v), expected,
+        np.testing.assert_allclose(expm_action_grid(S, [x], v)[0], expected,
                                    rtol=1e-10, atol=1e-13)
 
     def test_stiff_horizon_squares_a_step_matrix(self, monkeypatch):
@@ -162,11 +161,10 @@ class TestExpmAction:
             return step(u, *args)
 
         monkeypatch.setattr(phasetype, "_step", spy)
-        got = expm_action(S, x, v)
+        got, info = expm_action_grid(S, [x], v, full_output=True)
         assert seen == [2]
-        np.testing.assert_allclose(got, v @ scipy.linalg.expm(S * x),
+        np.testing.assert_allclose(got[0], v @ scipy.linalg.expm(S * x),
                                    rtol=1e-10, atol=1e-15)
-        _, info = expm_action_grid(S, [x], v, full_output=True)
         assert info["kernel"] == "squaring" and info["unif_mass"] == 1e4 * x
         assert 0.0 <= info["poisson_tail"] <= phasetype.EXPM_TAIL
 
@@ -315,7 +313,7 @@ class TestExpmAction:
     def test_nonnegative_output_for_nonnegative_input(self, rng):
         S = random_subgenerator(rng, 6, 10.0)
         v = rng.random(6)
-        assert np.all(expm_action(S, 4.0, v) >= 0.0)
+        assert np.all(expm_action_grid(S, [4.0], v) >= 0.0)
 
     def test_grid_matches_pointwise(self, rng):
         S = random_subgenerator(rng, 5)
@@ -323,14 +321,12 @@ class TestExpmAction:
         xs = np.sort(rng.uniform(0.0, 8.0, size=40))
         grid_vals = expm_action_grid(S, xs, v)
         for x, row in zip(xs, grid_vals):
-            np.testing.assert_allclose(row, expm_action(S, float(x), v),
+            np.testing.assert_allclose(row, expm_action_grid(S, [x], v)[0],
                                        rtol=1e-9, atol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         # at x = 0 no matrix product runs, so only the input checks see it
         for x in (0.0, 1.0):
-            with pytest.raises(ValueError, match="v has shape"):
-                expm_action(np.eye(3) * -1.0, x, np.ones(4))
             with pytest.raises(ValueError, match="v has shape"):
                 expm_action_grid(np.eye(3) * -1.0, [x], np.ones(4))
             with pytest.raises(ValueError, match="S must be square"):
@@ -338,7 +334,7 @@ class TestExpmAction:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            expm_action(np.array([[-1.0]]), -0.5, np.array([1.0]))
+            expm_action_grid(np.array([[-1.0]]), [-0.5], np.array([1.0]))
 
 
 class TestFig3Kernel:
@@ -377,7 +373,7 @@ class TestFig3Kernel:
 class TestErlangConstruction:
     def test_order_one_is_exponential(self):
         ph = erlang_ph(1.0, 1)
-        np.testing.assert_array_equal(ph.sigma, [1.0])
+        np.testing.assert_array_equal(ph.init, [1.0])
         np.testing.assert_array_equal(ph.S, [[-1.0]])
 
     def test_bidiagonal_structure(self):
@@ -386,7 +382,7 @@ class TestErlangConstruction:
                              [0.0, -6.0, 6.0],
                              [0.0, 0.0, -6.0]])
         np.testing.assert_array_equal(ph.S, expected)
-        np.testing.assert_array_equal(ph.sigma, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(ph.init, [1.0, 0.0, 0.0])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -456,42 +452,68 @@ class TestStructuralInvariants:
             assert num == pytest.approx(ph_pdf(ph, float(x)), abs=1e-6)
 
     def test_one_column_chain_matches_phase_type(self, rng):
-        # a proper phase-type is the peak age of the chain that absorbs
-        # through its exit rates alone
-        ph = random_phase_type(rng, 6)
-        chain = AbsorbingChain(ph.S, ph.nu[:, None], ph.sigma, np.ones(6))
+        # a phase-type is the peak age of the chain that absorbs through
+        # its exit rates alone
+        chain = random_phase_type(rng, 6)
+        assert chain.n_absorbing == 1
         xs = np.array([2.0, 0.0, 0.4, 2.0, 9.0])
-        for got, want in ((paoi_pdf(chain, xs), ph_pdf(ph, xs)),
-                          (paoi_cdf(chain, xs), ph_cdf(ph, xs))):
+        for got, want in ((paoi_pdf(chain, xs), ph_pdf(chain, xs)),
+                          (paoi_cdf(chain, xs), ph_cdf(chain, xs))):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         for x in (0.0, 0.4, 9.0):
-            assert paoi_pdf(chain, x) == pytest.approx(ph_pdf(ph, x), rel=1e-12)
-            assert paoi_cdf(chain, x) == pytest.approx(ph_cdf(ph, x), rel=1e-12)
+            assert paoi_pdf(chain, x) == pytest.approx(ph_pdf(chain, x), rel=1e-12)
+            assert paoi_cdf(chain, x) == pytest.approx(ph_cdf(chain, x), rel=1e-12)
         for i in (1, 2, 3):
-            assert paoi_moment(chain, i) == pytest.approx(ph_moment(ph, i),
+            assert paoi_moment(chain, i) == pytest.approx(ph_moment(chain, i),
                                                          rel=1e-12)
 
-    def test_substochastic_sigma_allowed(self):
-        ph = PhaseType([0.5], [[-1.0]])
-        assert ph_cdf(ph, 1e9) == pytest.approx(0.5, abs=1e-9)
+    def test_two_column_chain_gives_its_absorption_time(self):
+        # ph_* weigh both absorbing columns of the zero-wait cycle chain,
+        # so they give its absorption time, whichever column ends it
+        chain = build_zw_amc(ZwParams(0.5, 0.1))
+        assert chain.n_absorbing == 2
+        mean = -(chain.init @ np.linalg.solve(chain.S, np.ones(chain.order)))
+        assert abs(ph_moment(chain, 1) - mean) <= 1e-12
+        n = 100_000
+        times, _ = sample_absorption(chain, n, np.random.default_rng(11))
+        times.sort()
+        # both sides of every tenth jump of the empirical cdf, against the
+        # DKW band that a correct cdf leaves with probability 1 - 1e-3
+        rank = np.arange(0, n, 10)
+        cdf = ph_cdf(chain, times[rank])
+        gap = max(np.max(np.abs(cdf - rank / n)), np.max(np.abs(cdf - (rank + 1) / n)))
+        assert gap <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
+
+
+def test_exports_resolve():
+    # every exported name resolves; a phase-type is a chain, so the chain
+    # is the one model class, and the grid is the one entry to the kernel
+    import aoidual
+
+    for name in aoidual.__all__:
+        assert hasattr(aoidual, name), name
+    public = {name: getattr(aoidual, name) for name in dir(aoidual)}
+    assert [name for name, obj in public.items() if isinstance(obj, type)
+            and obj.__module__ == "aoidual.phasetype"] == ["AbsorbingChain"]
+    assert [name for name in public if name.startswith("expm_")] == ["expm_action_grid"]
 
 
 class TestValidation:
     def test_negative_offdiagonal_rejected(self):
         with pytest.raises(ValueError):
-            PhaseType([1.0, 0.0], [[-1.0, -0.5], [0.2, -0.2]])
+            phase_type([1.0, 0.0], [[-1.0, -0.5], [0.2, -0.2]])
 
     def test_positive_row_sum_rejected(self):
         with pytest.raises(ValueError):
-            PhaseType([1.0, 0.0], [[-1.0, 2.0], [0.0, -1.0]])
+            phase_type([1.0, 0.0], [[-1.0, 2.0], [0.0, -1.0]])
 
     def test_singular_generator_rejected(self):
         with pytest.raises(ValueError):
-            PhaseType([0.5, 0.5], [[-1.0, 1.0], [1.0, -1.0]])
+            phase_type([0.5, 0.5], [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_sigma_sum_above_one_rejected(self):
         with pytest.raises(ValueError):
-            PhaseType([0.8, 0.8], [[-1.0, 0.0], [0.0, -1.0]])
+            phase_type([0.8, 0.8], [[-1.0, 0.0], [0.0, -1.0]])
 
     def test_chain_row_sum_mismatch_rejected(self):
         S = np.array([[-2.0, 1.0], [0.0, -1.0]])

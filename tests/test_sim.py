@@ -223,8 +223,7 @@ class _OldLoop:
                 self._accept(t, g, s)
             else:
                 discards += 1
-        return {"monitor_discards": discards, "preemptions": 0,
-                "entry_counts": (0, 0, 0)}
+        return {"monitor_discards": discards, "preemptions": 0}
 
     def preempt_only(self):
         preempts, ent = 0, [1, 1, 0]
@@ -329,6 +328,7 @@ class TestArrayPolicies:
         assert d.tolist() == old.delivered
         assert g.tolist() == old.generated
         assert stats["elapsed"] == old.delivered[-1]
+        assert set(stats) == {*ref, "elapsed"}
         for key, value in ref.items():
             assert stats[key] == value, key
         u, length, peak = sim._cycles(d, g, warmup)
@@ -355,6 +355,7 @@ class TestArrayPolicies:
         assert d.tolist() == old.delivered
         assert g.tolist() == old.generated
         assert stats["elapsed"] == old.delivered[-1]
+        assert set(stats) == {*ref, "elapsed"}
         for key, value in ref.items():
             assert stats[key] == value, key
         u, length, peak = sim._cycles(d, g, warmup)
