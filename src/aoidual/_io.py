@@ -2,7 +2,7 @@
 
 Every CSV gets a header row and floats are printed with 12 significant
 digits so analytic outputs are value-identical across runs. A CSV is
-written from its columns; JSON is written compactly with sorted keys.
+written from its columns; JSON is strict, compact and key-sorted.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -60,6 +60,6 @@ def _jsonable(obj):
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` compactly, keys sorted, with the C encoder."""
+    """Write ``payload`` as strict JSON: compact, keys sorted, non-finite as null."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(_jsonable(payload), sort_keys=True) + "\n")
+        fh.write(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False) + "\n")

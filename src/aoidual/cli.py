@@ -132,7 +132,7 @@ def _sim_config_from_args(args) -> SimConfig:
 
 def cmd_simulate(args):
     cfg = _sim_config_from_args(args)
-    result = simulate(cfg, keep_samples=False)
+    result = simulate(cfg)
     files = {"result.json": result.to_json,
              "aoi_ecdf.csv": partial(result.cdf_to_csv, "aoi"),
              "paoi_ecdf.csv": partial(result.cdf_to_csv, "paoi")}
@@ -166,10 +166,7 @@ def _figure_cdfs(args, kind: str) -> list:
             rows.append((f"analytic_k{k}", x, c))
         cfg = SimConfig(params, FP, horizon=args.cycles, seed=args.seed,
                         replications=1)
-        result = simulate(cfg, keep_samples=False)
-        xs = result.aoi_cdf_x if kind == "aoi" else result.paoi_cdf_x
-        ys = result.aoi_cdf_y if kind == "aoi" else result.paoi_cdf_y
-        for x, c in zip(xs, ys):
+        for x, c in zip(*simulate(cfg).ecdf(kind)):
             rows.append((f"simulated_k{k}", x, c))
     return rows
 

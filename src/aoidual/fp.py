@@ -68,10 +68,17 @@ class FpParams:
         object.__setattr__(self, "mu2", slow)
         object.__setattr__(self, "freeze_rate", float(self.freeze_rate))
 
+    @property
+    def policy(self) -> str:
+        return "fp_preempt_only" if math.isinf(self.freeze_rate) else "fp"
+
     def meta(self) -> dict:
-        return {"policy": "fp", "mu1": self.mu1, "mu2": self.mu2,
-                "freeze_rate": self.freeze_rate, "k": self.k,
-                "swapped": self.swapped}
+        """Model fields; the preemption-only limit has no freeze rate or k."""
+        out = {"policy": self.policy, "mu1": self.mu1, "mu2": self.mu2,
+               "swapped": self.swapped}
+        if self.policy == "fp":
+            out.update(freeze_rate=self.freeze_rate, k=self.k)
+        return out
 
 
 def preempt_only_params(mu1: float, mu2: float) -> FpParams:
@@ -376,8 +383,7 @@ def _build_preempt_only(p: FpParams) -> AbsorbingChain:
     V[4, 0] = a + b
     np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
     init = np.array([a * (a + b), a * a + a * b + b * b, (a + b) ** 2, 0.0, 0.0])
-    meta = {"policy": "fp_preempt_only", "mu1": a, "mu2": b, "swapped": p.swapped}
-    return AbsorbingChain(S, V, init / init.sum(), np.eye(5)[4], meta=meta)
+    return AbsorbingChain(S, V, init / init.sum(), np.eye(5)[4], meta=p.meta())
 
 
 def build_fp_model(p: FpParams) -> AbsorbingChain:
@@ -387,6 +393,6 @@ def build_fp_model(p: FpParams) -> AbsorbingChain:
     :func:`fp_initial_vector`. An infinite freeze rate gives the exact
     preemption-only chain instead.
     """
-    if math.isinf(p.freeze_rate):
+    if p.policy == "fp_preempt_only":
         return _build_preempt_only(p)
     return build_fp_amc(p).with_init(fp_initial_vector(p))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from math import inf, nan, sqrt
+from math import nan, sqrt
 from operator import add
 from types import MappingProxyType
 from typing import Mapping
@@ -43,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _io
-from .fp import FpParams
+from .fp import FpParams, preempt_only_params
 from .metrics import DistributionTable
 from .zw import ZwParams
 
@@ -51,15 +51,19 @@ ZW = "zw"
 FP = "fp"
 FP_PREEMPT_ONLY = "fp_preempt_only"
 POLICIES = (ZW, FP, FP_PREEMPT_ONLY)
+#: Parameter types each policy accepts.
+_PARAM_TYPES = {ZW: (ZwParams,), FP: (FpParams,), FP_PREEMPT_ONLY: (ZwParams, FpParams)}
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation run description.
 
-    ``horizon`` counts successful receptions per replication; the first
-    ``warmup`` of them (default 1%) are discarded before statistics
-    start. The seed and replication index fully determine every random
-    draw.
+    ``fp_preempt_only``, and ``fp`` with an infinite freeze rate,
+    normalize the parameters to ``preempt_only_params(mu1, mu2)``; then
+    ``policy`` is set to ``params.policy``. ``horizon`` counts successful
+    receptions per replication; the first ``warmup`` of them (default 1%)
+    are discarded before statistics start. The seed and replication index
+    fully determine every random draw.
     """
 
     params: object
@@ -72,14 +76,12 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if self.policy == ZW:
-            if not isinstance(self.params, ZwParams):
-                raise ValueError("zw policy requires ZwParams")
-        elif self.policy == FP:
-            if not isinstance(self.params, FpParams):
-                raise ValueError("fp policy requires FpParams")
-        elif not isinstance(self.params, (ZwParams, FpParams)):
-            raise ValueError("preempt-only policy requires ZwParams or FpParams")
+        if not isinstance(self.params, _PARAM_TYPES[self.policy]):
+            raise ValueError(f"{self.policy} policy does not take {type(self.params).__name__}")
+        p = self.params
+        if FP_PREEMPT_ONLY in (self.policy, p.policy):
+            object.__setattr__(self, "params", preempt_only_params(p.mu1, p.mu2))
+        object.__setattr__(self, "policy", self.params.policy)
         if int(self.horizon) != self.horizon or self.horizon < 1000:
             raise ValueError("horizon must be an integer of at least 1000")
         object.__setattr__(self, "horizon", int(self.horizon))
@@ -100,14 +102,10 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
     def describe(self) -> dict:
-        out = {"policy": self.policy, "horizon": self.horizon,
-               "warmup": self.warmup, "seed": self.seed,
-               "replications": self.replications,
-               "mu1": self.params.mu1, "mu2": self.params.mu2}
-        if self.policy == FP:
-            out["freeze_rate"] = self.params.freeze_rate
-            out["k"] = self.params.k
-        return out
+        """The model fields of ``params.meta()`` and the run fields."""
+        out = {k: v for k, v in self.params.meta().items() if k != "swapped"}
+        return {**out, "horizon": self.horizon, "warmup": self.warmup,
+                "seed": self.seed, "replications": self.replications}
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +123,9 @@ class SimResult:
 
     Point estimates are unweighted means of the per-replication means;
     standard errors are computed across replications and are NaN for a
-    single replication. The stored cdfs are downsampled to
-    ``CDF_POINTS`` quantile-spaced points and written by
-    :meth:`cdf_to_csv`, not in :meth:`payload`; exact per-cycle samples
-    are kept in ``samples`` when requested.
+    single replication. The pooled per-cycle records are kept in
+    ``samples`` when requested; :meth:`ecdf` computes an empirical cdf
+    from them on demand and :meth:`cdf_to_csv` writes it.
     """
 
     mean_aoi: float
@@ -137,12 +134,7 @@ class SimResult:
     se_paoi: float
     rep_mean_aoi: np.ndarray
     rep_mean_paoi: np.ndarray
-    aoi_cdf_x: np.ndarray
-    aoi_cdf_y: np.ndarray
-    paoi_cdf_x: np.ndarray
-    paoi_cdf_y: np.ndarray
     cycle_count: int
-    seed: int
     config: Mapping
     stats: Mapping
     samples: SampleSet | None = None
@@ -157,18 +149,35 @@ class SimResult:
             "se_aoi": self.se_aoi, "se_paoi": self.se_paoi,
             "rep_mean_aoi": self.rep_mean_aoi,
             "rep_mean_paoi": self.rep_mean_paoi,
-            "cycle_count": self.cycle_count, "seed": self.seed,
+            "cycle_count": self.cycle_count,
             "config": dict(self.config), "stats": dict(self.stats),
         }
 
     def to_json(self, path) -> None:
         _io.write_json(path, self.payload())
 
+    def ecdf(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Empirical cdf ``(x, cdf)`` of ``kind`` at ``CDF_POINTS`` quantiles."""
+        s = _samples(self, kind)
+        if kind == "paoi":
+            peaks = np.sort(s.peak)
+            x = _quantile_grid(peaks)
+            return x, empirical_paoi_cdf(peaks, x)
+        x = _quantile_grid(np.sort(np.concatenate([s.u, s.u + s.length])))
+        return x, empirical_aoi_cdf(s.u, s.length, x)
+
     def cdf_to_csv(self, kind: str, path) -> None:
         """Write the empirical cdf of ``kind``, ``"aoi"`` or ``"paoi"``."""
-        columns = ((self.aoi_cdf_x, self.aoi_cdf_y) if kind == "aoi"
-                   else (self.paoi_cdf_x, self.paoi_cdf_y))
-        _io.write_csv(path, ["x", "cdf"], columns)
+        _io.write_csv(path, ["x", "cdf"], self.ecdf(kind))
+
+
+def _samples(result: SimResult, kind) -> SampleSet:
+    """The samples of ``result``, checking that they and ``kind`` exist."""
+    if kind not in ("aoi", "paoi"):
+        raise ValueError("distribution kind must be 'aoi' or 'paoi'")
+    if result.samples is None:
+        raise ValueError("result carries no samples; rerun with keep_samples")
+    return result.samples
 
 
 #: Number of quantile points kept in serialized empirical cdfs.
@@ -358,7 +367,8 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
 
     Identical configurations produce bit-identical results. With
     ``keep_samples`` the pooled per-cycle records stay attached for
-    exact distribution comparisons.
+    empirical cdfs and exact distribution comparisons; without them the
+    result holds the means, standard errors and counters only.
     """
     rep_aoi = np.empty(cfg.replications)
     rep_paoi = np.empty(cfg.replications)
@@ -368,12 +378,11 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
     p = cfg.params
     for rep in range(cfg.replications):
         rng = _rep_rng(cfg.seed, rep)
-        if cfg.policy == ZW:
-            d, g, stats = _run_zw(p.mu1, p.mu2, cfg.horizon, rng)
-        elif cfg.policy == FP and p.freeze_rate < inf:
+        if cfg.policy == FP:
             d, g, stats = _run_fp(p, cfg.horizon, rng)
-        else:  # preemption-only, also as the zero-length-freeze limit
-            d, g, stats = _run_po(p.mu1, p.mu2, cfg.horizon, rng)
+        else:  # both servers always busy: the merged completion stream
+            run = _run_zw if cfg.policy == ZW else _run_po
+            d, g, stats = run(p.mu1, p.mu2, cfg.horizon, rng)
         u, length, peak = _cycles(d, g, cfg.warmup)
         rep_aoi[rep] = (u * length + 0.5 * length * length).sum() / length.sum()
         rep_paoi[rep] = peak.mean()
@@ -397,23 +406,14 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
     else:
         se_aoi = se_paoi = nan
 
-    peak_sorted = np.sort(peak)
-    paoi_x = _quantile_grid(peak_sorted)
-    paoi_y = empirical_paoi_cdf(peak_sorted, paoi_x)
-    breaks = np.sort(np.concatenate([u, u + length]))
-    aoi_x = _quantile_grid(breaks)
-    aoi_y = empirical_aoi_cdf(u, length, aoi_x)
-
     totals["per_rep"] = per_rep
     samples = SampleSet(u, length, peak) if keep_samples else None
     return SimResult(
         mean_aoi=float(rep_aoi.mean()), mean_paoi=float(rep_paoi.mean()),
         se_aoi=se_aoi, se_paoi=se_paoi,
         rep_mean_aoi=rep_aoi, rep_mean_paoi=rep_paoi,
-        aoi_cdf_x=aoi_x, aoi_cdf_y=aoi_y,
-        paoi_cdf_x=paoi_x, paoi_cdf_y=paoi_y,
-        cycle_count=int(u.shape[0]), seed=cfg.seed,
-        config=cfg.describe(), stats=totals, samples=samples)
+        cycle_count=int(u.shape[0]), config=cfg.describe(), stats=totals,
+        samples=samples)
 
 
 def _quantile_grid(sorted_values: np.ndarray) -> np.ndarray:
@@ -448,12 +448,9 @@ def ks_against_table(result: SimResult, table: DistributionTable,
     """
     if kind is None:
         kind = table.meta.get("kind")
-    if kind not in ("aoi", "paoi"):
-        raise ValueError("distribution kind must be 'aoi' or 'paoi'")
-    if result.samples is None:
-        raise ValueError("result carries no samples; rerun with keep_samples")
+    s = _samples(result, kind)
     if kind == "paoi":
-        peaks = np.sort(result.samples.peak)
+        peaks = np.sort(s.peak)
         n = peaks.shape[0]
         fa = _interp_cdf(table, peaks)
         hi = np.arange(1, n + 1) / n
@@ -463,10 +460,8 @@ def ks_against_table(result: SimResult, table: DistributionTable,
         fe_grid = empirical_paoi_cdf(peaks, table.grid)
         d_grid = float(np.max(np.abs(fa_grid - fe_grid)))
         return max(d_jump, d_grid)
-    u = result.samples.u
-    length = result.samples.length
-    xs = np.union1d(np.concatenate([u, u + length]), table.grid)
-    fe = empirical_aoi_cdf(u, length, xs)
+    xs = np.union1d(np.concatenate([s.u, s.u + s.length]), table.grid)
+    fe = empirical_aoi_cdf(s.u, s.length, xs)
     fa = _interp_cdf(table, xs)
     return float(np.max(np.abs(fe - fa)))
 
@@ -475,19 +470,16 @@ def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable,
                           kind: str | None = None) -> float:
     """Simulate ``cfg`` and measure the sup distance to an analytic cdf.
 
-    When the table's metadata carries parameters they are checked
-    against the configuration; mismatches are reported as warnings
-    (the distance is still computed, and will be large).
+    Every field of ``cfg.describe()`` that the table's metadata also
+    carries is checked against it, numbers to a relative 1e-12;
+    mismatches are reported as warnings (the distance is still computed,
+    and will be large).
     """
-    meta = dict(table.meta)
-    cfg_desc = cfg.describe()
-    for key in ("mu1", "mu2", "freeze_rate", "k", "policy"):
-        if key in meta and key in cfg_desc:
-            a, b = meta[key], cfg_desc[key]
-            same = a == b if key == "policy" else abs(a - b) <= 1e-12 * max(1.0, abs(a))
-            if not same:
-                warnings.warn(
-                    f"configured {key}={cfg_desc[key]} does not match "
-                    f"analytic table ({meta[key]})", stacklevel=2)
+    meta = table.meta
+    for key, b in cfg.describe().items():
+        a = meta.get(key, b)
+        if a != b and (isinstance(a, str) or abs(a - b) > 1e-12 * max(1.0, abs(a))):
+            warnings.warn(f"configured {key}={b} does not match analytic table ({a})",
+                          stacklevel=2)
     result = simulate(cfg, keep_samples=True)
     return ks_against_table(result, table, kind)

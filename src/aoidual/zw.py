@@ -36,6 +36,7 @@ class ZwParams:
     mu1: float
     mu2: float
     swapped: bool = False
+    policy = "zw"
 
     def __post_init__(self):
         if not (0 < self.mu1 < np.inf and 0 < self.mu2 < np.inf):
@@ -46,6 +47,10 @@ class ZwParams:
             object.__setattr__(self, "swapped", True)
         object.__setattr__(self, "mu1", fast)
         object.__setattr__(self, "mu2", slow)
+
+    def meta(self) -> dict:
+        return {"policy": self.policy, "mu1": self.mu1, "mu2": self.mu2,
+                "swapped": self.swapped}
 
 
 class ZwMeans(NamedTuple):
@@ -93,8 +98,7 @@ def build_zw_amc(p: ZwParams) -> AbsorbingChain:
     init[2] = b / (a + b)
     mask = np.zeros(7)
     mask[list(AOI_STATES)] = 1.0
-    meta = {"policy": "zw", "mu1": a, "mu2": b, "swapped": p.swapped}
-    return AbsorbingChain(S, V, init, mask, meta=meta)
+    return AbsorbingChain(S, V, init, mask, meta=p.meta())
 
 
 def zw_explicit_inverse(p: ZwParams) -> np.ndarray:

@@ -207,6 +207,17 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_infinite_freeze_rate_runs_preemption_only(self, tmp_path):
+        base = ["simulate", "--mu1", "1", "--mu2", "0.3", "--cycles", "2000", "--seed", "3"]
+        fp, po = tmp_path / "fp", tmp_path / "po"
+        assert run(base + ["--policy", "fp", "--lambda", "inf", "--k", "2",
+                           "--out", str(fp)]) == 0
+        assert run(base + ["--policy", "fp_preempt_only", "--out", str(po)]) == 0
+        for name in ("result.json", "aoi_ecdf.csv", "paoi_ecdf.csv"):
+            assert (fp / name).read_bytes() == (po / name).read_bytes()
+        params = json.loads((fp / "manifest.json").read_text())["parameters"]
+        assert params["policy"] == "fp_preempt_only" and "freeze_rate" not in params
+
     def test_flags_require_rates(self, tmp_path):
         assert run(["simulate", "--policy", "zw", "--cycles", "5000",
                     "--out", str(tmp_path / "x")]) == 2
@@ -352,14 +363,14 @@ class TestOutputs:
                     "--cycles", "5000", "--seed", "4", "--reps", "3",
                     "--out", str(out)]) == 0
         result = simulate(SimConfig(ZwParams(1.0, 0.5), "zw", horizon=5000, seed=4,
-                                    replications=3), keep_samples=False)
+                                    replications=3))
         payload = json.loads((out / "result.json").read_text())
         assert payload == {
             "mean_aoi": result.mean_aoi, "mean_paoi": result.mean_paoi,
             "se_aoi": result.se_aoi, "se_paoi": result.se_paoi,
             "rep_mean_aoi": result.rep_mean_aoi.tolist(),
             "rep_mean_paoi": result.rep_mean_paoi.tolist(),
-            "cycle_count": result.cycle_count, "seed": 4,
+            "cycle_count": result.cycle_count,
             "config": _roundtrip(dict(result.config)),
             "stats": _roundtrip(dict(result.stats))}
         assert set(payload["stats"]) == {"monitor_discards", "preemptions",
@@ -367,10 +378,9 @@ class TestOutputs:
         assert set(payload["stats"]["per_rep"]) == {"elapsed"}
         for kind in ("aoi", "paoi"):
             x, cdf = _columns(out / f"{kind}_ecdf.csv")
-            np.testing.assert_allclose(x, getattr(result, f"{kind}_cdf_x"),
-                                       rtol=5e-12, atol=0)
-            np.testing.assert_allclose(cdf, getattr(result, f"{kind}_cdf_y"),
-                                       rtol=5e-12, atol=0)
+            held_x, held_cdf = result.ecdf(kind)
+            np.testing.assert_allclose(x, held_x, rtol=5e-12, atol=0)
+            np.testing.assert_allclose(cdf, held_cdf, rtol=5e-12, atol=0)
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--policy", "zw", "--mu1", "1", "--mu2", "1",
@@ -388,6 +398,27 @@ class TestOutputs:
         assert manifest["argv"] == argv + ["--out", str(out)]
         assert sorted(manifest["outputs"]) == sorted(
             p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--policy", "fp", "--mu1", "1", "--mu2", "0.3", "--lambda", "inf",
+         "--k", "2", "--grid-points", "50"],
+        ["simulate", "--policy", "zw", "--mu1", "1", "--mu2", "0.3",
+         "--cycles", "2000", "--reps", "1"],
+        ["simulate", "--policy", "fp", "--mu1", "1", "--mu2", "0.3", "--lambda", "inf",
+         "--k", "1", "--cycles", "2000"],
+        ["optimize", "--mu1", "1", "--mu2", "1", "--k", "2"],
+        ["figure", "3a", "--cycles", "2000"],
+    ], ids=["analyze-inf", "simulate-reps1", "simulate-inf", "optimize", "figure"])
+    def test_json_outputs_are_strict(self, tmp_path, argv):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "run"
+        assert run(argv + ["--out", str(out)]) == 0
+        paths = sorted(out.glob("*.json"))
+        assert out / "manifest.json" in paths
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject)
 
     def test_default_directories_are_not_shared(self, tmp_path, monkeypatch, capsys):
         # two runs within the same second still get a directory each

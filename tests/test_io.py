@@ -107,3 +107,15 @@ def test_json_accepts_every_numpy_scalar(tmp_path):
     assert json.loads((tmp_path / "scalars.json").read_text()) == {
         "big": 2 ** 63, "flag": True, "half": 0.5, "name": "zw", "nested": [False],
         "small": -3}
+
+
+def test_non_finite_floats_are_written_as_null(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = {"nan": float("nan"), "inf": np.float64(np.inf), "f32": np.float32("nan"),
+               "array": np.array([1.0, -np.inf]), "nested": [(2.5, float("-inf"))]}
+    _io.write_json(tmp_path / "strict.json", payload)
+    assert json.loads((tmp_path / "strict.json").read_text(), parse_constant=reject) == {
+        "array": [1.0, None], "f32": None, "inf": None, "nan": None,
+        "nested": [[2.5, None]]}

@@ -38,6 +38,20 @@ class TestConfigValidation:
         SimConfig(ZwParams(1, 1), FP_PREEMPT_ONLY, horizon=1000)
         SimConfig(FpParams(1, 1, 1, 1), FP_PREEMPT_ONLY, horizon=1000)
 
+    def test_params_name_the_policy(self):
+        from aoidual import preempt_only_params
+
+        po = SimConfig(ZwParams(1, .3), FP_PREEMPT_ONLY, horizon=1000)
+        assert po.policy == FP_PREEMPT_ONLY
+        for cfg in (SimConfig(preempt_only_params(1, .3), FP, horizon=1000),
+                    SimConfig(FpParams(.3, 1, math.inf, 4), FP, horizon=1000),
+                    SimConfig(FpParams(1, .3, 2.0, 3), FP_PREEMPT_ONLY, horizon=1000)):
+            assert cfg == po
+        for cfg in (po, SimConfig(ZwParams(1, .3), ZW, horizon=1000)):
+            assert "freeze_rate" not in cfg.describe() and "k" not in cfg.describe()
+        fp = SimConfig(FpParams(1, .3, 2.0, 3), FP, horizon=1000).describe()
+        assert (fp["policy"], fp["freeze_rate"], fp["k"]) == (FP, 2.0, 3)
+
     def test_horizon_floor(self):
         with pytest.raises(ValueError):
             SimConfig(ZwParams(1, 1), ZW, horizon=999)
@@ -73,7 +87,7 @@ class TestDeterminism:
         assert a.mean_aoi == b.mean_aoi and a.mean_paoi == b.mean_paoi
         assert np.array_equal(a.samples.u, b.samples.u)
         assert np.array_equal(a.samples.peak, b.samples.peak)
-        assert np.array_equal(a.aoi_cdf_y, b.aoi_cdf_y)
+        assert np.array_equal(a.ecdf("aoi")[1], b.ecdf("aoi")[1])
         assert dict(a.stats)["monitor_discards"] == dict(b.stats)["monitor_discards"]
 
     def test_seed_changes_draws(self):
@@ -408,7 +422,7 @@ class TestEmpiricalCdfs:
     def test_cdf_outputs_monotone_in_unit_interval(self):
         cfg = SimConfig(ZwParams(1.0, 0.2), ZW, horizon=20_000, seed=3)
         res = simulate(cfg)
-        for ys in (res.aoi_cdf_y, res.paoi_cdf_y):
+        for ys in (res.ecdf("aoi")[1], res.ecdf("paoi")[1]):
             assert np.all(np.diff(ys) >= -1e-12)
             assert ys[0] >= 0.0 and ys[-1] <= 1.0 + 1e-12
 
@@ -445,6 +459,16 @@ class TestKsMachinery:
                 warnings.simplefilter("error")
                 assert empirical_vs_analytic(cfg, table) < 0.05
 
+    def test_preempt_only_params_under_fp_match_their_table(self):
+        from aoidual import preempt_only_params
+
+        p = preempt_only_params(1, 0.3)
+        table = summarize(build_fp_model(p)).aoi_table
+        cfg = SimConfig(p, FP, horizon=5_000, seed=1, replications=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert empirical_vs_analytic(cfg, table) < 0.05
+
     def test_simulated_agreement_smoke(self):
         p = FpParams(0.5, 0.1, 1.0, 1)
         summary = summarize(build_fp_model(p))
@@ -460,6 +484,17 @@ class TestKsMachinery:
         res = simulate(cfg, keep_samples=False)
         with pytest.raises(ValueError):
             ks_against_table(res, table)
+
+    def test_ecdf_requires_samples_and_a_kind(self, tmp_path):
+        cfg = SimConfig(ZwParams(1, 0.3), ZW, horizon=5_000, seed=1)
+        res = simulate(cfg, keep_samples=False)
+        with pytest.raises(ValueError, match="keep_samples"):
+            res.ecdf("aoi")
+        with pytest.raises(ValueError, match="keep_samples"):
+            res.cdf_to_csv("paoi", tmp_path / "paoi.csv")
+        assert not (tmp_path / "paoi.csv").exists()
+        with pytest.raises(ValueError, match="kind"):
+            simulate(cfg).ecdf("age")
 
     def test_kind_required_when_untagged(self):
         from aoidual import DistributionTable
@@ -479,7 +514,7 @@ class TestSerialization:
         import json
 
         cfg = SimConfig(ZwParams(1.0, 0.2), ZW, horizon=5_000, seed=3)
-        res = simulate(cfg, keep_samples=False)
+        res = simulate(cfg)
         res.to_json(tmp_path / "result.json")
         res.cdf_to_csv("aoi", tmp_path / "aoi.csv")
         payload = json.loads((tmp_path / "result.json").read_text())
