@@ -91,15 +91,14 @@ def _model_params(raw: dict, where: str):
 
 def cmd_analyze(args):
     params = _model_params(_flag_values(args), "--{}")
-    chain = build_zw_amc(params) if args.policy == ZW else build_fp_model(params)
+    chain = build_zw_amc(params) if params.policy == ZW else build_fp_model(params)
     summary = summarize(chain, GridSpec(points=args.grid_points, max_mult=args.grid_max))
-    fields = {**_flag_values(args), "grid_points": args.grid_points,
-              "grid_max": args.grid_max}
+    fields = {k: v for k, v in params.meta().items() if k != "swapped"}
     files = {"summary.json": summary.to_json,
              "aoi_table.csv": summary.aoi_table.to_csv,
              "paoi_table.csv": summary.paoi_table.to_csv}
-    return ({k: v for k, v in fields.items() if v is not None}, None, files,
-            f"mean_aoi={summary.mean_aoi:.12g} mean_paoi={summary.mean_paoi:.12g}")
+    return ({**fields, "grid_points": args.grid_points, "grid_max": args.grid_max}, None,
+            files, f"mean_aoi={summary.mean_aoi:.12g} mean_paoi={summary.mean_paoi:.12g}")
 
 
 def _sim_config_from_args(args) -> SimConfig:

@@ -8,13 +8,14 @@ fresher packet is delivered. When a freeze ends with a server free, a
 fresh packet starts on the free server (server 1 if both are free) and
 a new freeze begins.
 
-The cycle between consecutive receptions is modeled by an absorbing
-chain over ``9k + 5`` transient states: nine state families carry the
-freeze phase ``1..k``, five singletons are not in freeze. Its initial
-vector is in closed form: the stationary law of the three cycle states a
-packet starts in, seen from one freeze start to the next. A recurrent
-chain over ``5k + 2`` states is an independent reference for it. The
-preemption-only limit (freezes of length zero) has an exact 5-state chain.
+The cycle between consecutive receptions is an absorbing chain over
+``9k + 5`` transient states, built from one rule table (``_RULES``):
+nine state families carry the freeze phase ``1..k``, five singletons
+are not in freeze. Its initial vector is in closed form: the stationary
+law of the three cycle states a packet starts in, seen from one freeze
+start to the next. A recurrent chain over ``5k + 2`` states is an
+independent reference for it. The preemption-only limit (freezes of
+length zero) is the zero-freeze collapse of the rule table.
 """
 
 from __future__ import annotations
@@ -29,9 +30,38 @@ from scipy.sparse.linalg import splu
 
 from .phasetype import AbsorbingChain
 
-#: State families of the cycle chain that carry a freeze phase; families
-#: 3, 5, 7, 9 and 14 are singletons (no freeze running).
-_AMC_PHASED = (1, 2, 4, 6, 8, 10, 11, 12, 13)
+#: Absorbing columns 0 and 1 of the cycle chain.
+_OK, _LOST = "success", "failure"
+
+#: The freeze/preempt rules: ``family: (exit, {server: destination})``.
+#: A completion at server 1 (rate ``mu1``) or 2 (``mu2``) moves the chain
+#: to the destination, a family or an absorbing column. A family with an
+#: ``exit`` carries the freeze phase and moves there when its freeze ends;
+#: ``None`` marks a singleton: no freeze runs, both servers are busy, and a
+#: completion immediately starts a fresh transmission (on server 1 if both
+#: are then free).
+_RULES = {
+    # (1,·)/(2,·): tagged alone on server 1/2; its delivery idles both servers
+    1: (4, {1: 11}), 2: (8, {2: 11}),
+    # 3,(4,·): tagged on server 1, server 2 carrying a fresher packet, whose
+    # completion preempts the tagged one
+    3: (None, {1: 14, 2: _LOST}), 4: (3, {1: 13, 2: _LOST}),
+    # 5,(6,·): tagged on server 1, server 2 carrying a staler packet, which
+    # the tagged packet's delivery obsoletes (removed mid-freeze)
+    5: (None, {1: 12, 2: 4}), 6: (5, {1: 11, 2: 1}),
+    # 7,(8,·) and 9,(10,·): the mirror images, tagged on server 2
+    7: (None, {1: _LOST, 2: 14}), 8: (7, {1: _LOST, 2: 12}),
+    9: (None, {1: 8, 2: 12}), 10: (9, {1: 2, 2: 11}),
+    # tagged delivered: (11,·) both servers idle, (12,·)/(13,·) a successor
+    # on server 1/2 alone, 14 successors on both servers
+    11: (12, {}), 12: (14, {1: _OK}), 13: (14, {2: _OK}), 14: (None, {1: _OK, 2: _OK}),
+}
+
+#: Families a new packet starts in: the states A, B, C of :func:`_entry_chain`.
+_ENTRY = (1, 10, 6)
+
+#: A move in :func:`_triplets`: source, destination, keeps the phase, rate.
+_MOVE = np.dtype([("src", np.intp), ("dst", np.intp), ("same", bool), ("rate", float)])
 
 
 @dataclass(frozen=True)
@@ -89,19 +119,19 @@ def preempt_only_params(mu1: float, mu2: float) -> FpParams:
 class _StateIndex:
     """Bijection between symbolic chain states and indices.
 
-    Families ``1..n_families`` are laid out in order; those in
-    ``phased`` carry a freeze phase and take a contiguous block of ``k``
-    indices keyed ``(family, phase)``, the others one index keyed by the
-    bare int. Indices are computed from ``first``, the index of each
-    family's first state, so a map costs ``O(n_families)`` at any ``k``.
+    ``families`` are laid out in the order given; those in ``phased``
+    carry a freeze phase and take a contiguous block of ``k`` indices
+    keyed ``(family, phase)``, the others one index keyed by the bare
+    int. Indices are computed from ``first``, the index of each family's
+    first state, so a map costs ``O(families)`` at any ``k``.
     """
 
-    def __init__(self, k: int, n_families: int, phased):
+    def __init__(self, k: int, families, phased):
         if int(k) != k or k < 1:
             raise ValueError("Erlang order k must be a positive integer")
         self.k = int(k)
         self.phased = frozenset(phased)
-        families = range(1, n_families + 1)
+        families = tuple(families)
         sizes = [self.k if fam in self.phased else 1 for fam in families]
         *starts, self.size = accumulate(sizes, initial=0)
         self.first = dict(zip(families, starts))
@@ -133,14 +163,14 @@ class _StateIndex:
 class FpStateIndex(_StateIndex):
     """Index map of the cycle chain, ``9k + 5`` states.
 
-    Phased families are laid out as contiguous blocks in the order
-    (1,·), (2,·), 3, (4,·), 5, (6,·), 7, (8,·), 9, (10,·), (11,·),
-    (12,·), (13,·), 14, so the ``k * freeze_rate`` phase ladders appear
-    as superdiagonal runs in matrix dumps.
+    Families are laid out in the order of ``_RULES``, the frozen ones as
+    contiguous phased blocks: (1,·), (2,·), 3, (4,·), 5, (6,·), 7, (8,·),
+    9, (10,·), (11,·), (12,·), (13,·), 14, so the ``k * freeze_rate``
+    phase ladders appear as superdiagonal runs in matrix dumps.
     """
 
     def __init__(self, k: int):
-        super().__init__(k, 14, _AMC_PHASED)
+        super().__init__(k, _RULES, [f for f, (e, _) in _RULES.items() if e is not None])
 
 
 class RmcStateIndex(_StateIndex):
@@ -148,39 +178,39 @@ class RmcStateIndex(_StateIndex):
     two unfrozen states 6 and 7."""
 
     def __init__(self, k: int):
-        super().__init__(k, 7, range(1, 6))
+        super().__init__(k, range(1, 8), range(1, 6))
 
 
-def _triplets(idx: _StateIndex, frozen: dict, unfrozen: list, step: float,
+def _triplets(idx: _StateIndex, rules: dict, rates: dict, step: float,
               first: dict | None = None):
     """COO triplets ``(rows, cols, rates)`` of a generator, diagonal included.
 
-    ``frozen`` maps each phased family to ``(exit, moves)``: every phase
-    advances at ``step`` to the next, the last to the first state of
-    ``exit``, and each ``(dst, rate)`` of ``moves`` leaves every phase for
-    the same phase of ``dst`` (or a singleton ``dst``). ``unfrozen`` lists
-    ``(src, dst, rate)`` moves of singletons. ``first`` adds destinations
-    beyond the index, such as absorbing columns. Each family's moves are
-    built as ``(moves, k)`` blocks.
+    ``rules`` is a table like ``_RULES`` and ``rates`` maps each server to
+    its rate. Every phase of a phased family advances at ``step`` to the
+    next, the last to ``exit``, and each move leaves every phase for the
+    same phase of its destination (or a singleton), as ``(moves, k)``
+    blocks. ``first`` adds destinations beyond the index, such as
+    absorbing columns.
     """
     first = {**idx.first, **(first or {})}
-    blocks, exits = [], []  # (source, destination, keeps the phase, rate)
-    for fam, (exit_, moves) in frozen.items():
-        exits.append((len(blocks), first[exit_]))
-        blocks.append((first[fam], first[fam] + 1, True, step))
-        blocks += [(first[fam], first[dst], dst in idx.phased, rate)
-                   for dst, rate in moves]
-    src, dst, same, rate = (np.array(col) for col in zip(*blocks))
+    blocks, single, exits = [], [], {}
+    for fam, (exit_, moves) in rules.items():
+        out = [(first[fam], first[dst], dst in idx.phased, rates[server])
+               for server, dst in moves.items()]
+        if exit_ is None:
+            single += out
+        else:
+            exits[len(blocks)] = first[exit_]
+            blocks += [(first[fam], first[fam] + 1, True, step), *out]
+    blocks, single = np.array(blocks, dtype=_MOVE), np.array(single, dtype=_MOVE)
     ell = np.arange(idx.k)
-    cols = dst[:, None] + ell * same[:, None]
-    ladder, exit_state = zip(*exits)
-    cols[list(ladder), -1] = exit_state
-    single = np.array([(first[s], first[d]) for s, d, _ in unfrozen]).T
-    rows = np.concatenate(((src[:, None] + ell).ravel(), single[0]))
-    rates = np.concatenate((np.repeat(rate, idx.k), [r for *_, r in unfrozen]))
+    cols = blocks["dst"][:, None] + ell * blocks["same"][:, None]
+    cols[list(exits), -1] = list(exits.values())
+    rows = np.concatenate(((blocks["src"][:, None] + ell).ravel(), single["src"]))
+    vals = np.concatenate((np.repeat(blocks["rate"], idx.k), single["rate"]))
     diag = np.arange(idx.size)
-    return (np.concatenate((rows, diag)), np.concatenate((cols.ravel(), single[1], diag)),
-            np.concatenate((rates, -np.bincount(rows, rates, minlength=idx.size))))
+    return (np.concatenate((rows, diag)), np.concatenate((cols.ravel(), single["dst"], diag)),
+            np.concatenate((vals, -np.bincount(rows, vals, minlength=idx.size))))
 
 
 def fp_aoi_mask(k: int) -> np.ndarray:
@@ -194,53 +224,16 @@ def fp_aoi_mask(k: int) -> np.ndarray:
 
 
 def build_fp_amc(p: FpParams) -> AbsorbingChain:
-    """Absorbing chain of one freeze/preempt cycle (no initial vector).
-
-    State families, written ``(family, phase)`` while a freeze runs:
-
-    - (1,·)/(2,·): tagged packet alone on server 1/2, other server idle.
-    - 3,(4,·): tagged on server 1, server 2 carrying a fresher packet.
-    - 5,(6,·): tagged on server 1, server 2 carrying a staler packet.
-    - 7,(8,·): tagged on server 2, server 1 carrying a fresher packet.
-    - 9,(10,·): tagged on server 2, server 1 carrying a staler packet.
-    - (11,·): tagged delivered, both servers idle.
-    - (12,·)/(13,·): tagged delivered, a successor in service on server
-      1/2 alone.
-    - 14: tagged delivered, successors on both servers.
-
-    Absorbing columns: 0 = successor delivered (success), 1 = tagged
-    packet preempted (failure). Use :func:`fp_initial_vector` to attach
-    the initial distribution.
+    """Absorbing chain of one freeze/preempt cycle (no initial vector):
+    the state families of ``_RULES``, written ``(family, phase)`` while a
+    freeze runs. Absorbing columns: 0 = successor delivered (success), 1 =
+    tagged packet preempted (failure). Use :func:`fp_initial_vector` to
+    attach the initial distribution.
     """
-    a, b, step = p.mu1, p.mu2, p.k * p.freeze_rate
     idx = FpStateIndex(p.k)
     n = idx.size
-    ok, lost = "success", "failure"
-    frozen = {
-        # tagged alone in service; a delivery from it idles both servers
-        1: (4, [(11, a)]),
-        2: (8, [(11, b)]),
-        # tagged on server 1 behind a fresher packet: completion of the
-        # fresher packet preempts the tagged one
-        4: (3, [(13, a), (lost, b)]),
-        # tagged on server 1 ahead of a staler packet: delivering the
-        # tagged packet obsoletes the other, which is removed mid-freeze
-        6: (5, [(11, a), (1, b)]),
-        # mirror images with the tagged packet on server 2
-        8: (7, [(lost, a), (12, b)]),
-        10: (9, [(2, a), (11, b)]),
-        # post-delivery frozen states
-        11: (12, []),
-        12: (14, [(ok, a)]),
-        13: (14, [(ok, b)]),
-    }
-    # unfrozen singletons: a completion immediately triggers a fresh
-    # transmission (server 1 preferred when both are free)
-    unfrozen = [(3, 14, a), (3, lost, b), (5, 12, a), (5, 4, b),
-                (7, lost, a), (7, 14, b), (9, 8, a), (9, 12, b),
-                (14, ok, a + b)]
-    rows, cols, rates = _triplets(idx, frozen, unfrozen, step,
-                                  first={ok: n, lost: n + 1})
+    rows, cols, rates = _triplets(idx, _RULES, {1: p.mu1, 2: p.mu2}, p.k * p.freeze_rate,
+                                  first={_OK: n, _LOST: n + 1})
     into_S = cols < n
     V = np.zeros((n, 2))
     np.add.at(V, (rows[~into_S], cols[~into_S] - n), rates[~into_S])
@@ -258,12 +251,10 @@ def build_fp_rmc(p: FpParams) -> sparse.csr_array:
     counterparts of (4,·) and (5,·). The chain is irreducible for every
     valid parameter set.
     """
-    a, b, step = p.mu1, p.mu2, p.k * p.freeze_rate
     idx = RmcStateIndex(p.k)
-    frozen = {1: (2, []), 2: (4, [(1, a)]), 3: (5, [(1, b)]),
-              4: (6, [(3, a), (1, b)]), 5: (7, [(1, a), (2, b)])}
-    unfrozen = [(6, 5, a), (6, 2, b), (7, 2, a), (7, 4, b)]
-    rows, cols, rates = _triplets(idx, frozen, unfrozen, step)
+    rules = {1: (2, {}), 2: (4, {1: 1}), 3: (5, {2: 1}), 4: (6, {1: 3, 2: 1}),
+             5: (7, {1: 1, 2: 2}), 6: (None, {1: 5, 2: 2}), 7: (None, {1: 2, 2: 4})}
+    rows, cols, rates = _triplets(idx, rules, {1: p.mu1, 2: p.mu2}, p.k * p.freeze_rate)
     return sparse.csr_array((rates, (rows, cols)), shape=(idx.size, idx.size))
 
 
@@ -350,40 +341,49 @@ def _entry_chain(p: FpParams) -> np.ndarray:
     return np.array([[1 - ab, ab, 0], [1 - bc, 0, bc], [1 - cb, cb, 0]])
 
 
-def fp_initial_vector(p: FpParams) -> np.ndarray:
-    """Distribution of the cycle-chain state in which a new packet starts:
-    the stationary law of :func:`_entry_chain` (one packet per freeze
-    start), ``(1 - P_BC P_CB, P_AB, P_AB P_BC)`` normalized, on states
-    (1,1), (10,1) and (6,1)."""
+def _entry_vector(p: FpParams, idx: _StateIndex, settle=lambda fam: fam) -> np.ndarray:
+    """The stationary law of :func:`_entry_chain` (one packet per freeze
+    start), ``(1 - P_BC P_CB, P_AB, P_AB P_BC)`` normalized, on the first
+    states of the ``_ENTRY`` families, each taken through ``settle``."""
     P = _entry_chain(p)
     pi = np.array([1.0 - P[1, 2] * P[2, 1], P[0, 1], P[0, 1] * P[1, 2]])
-    idx = FpStateIndex(p.k)
     init = np.zeros(idx.size)
-    init[[idx.first[1], idx.first[10], idx.first[6]]] = pi / pi.sum()
+    init[[idx.first[settle(fam)] for fam in _ENTRY]] = pi / pi.sum()
     return init
 
 
-def _build_preempt_only(p: FpParams) -> AbsorbingChain:
-    """Exact 5-state cycle chain of the preemption-only limit.
+def fp_initial_vector(p: FpParams) -> np.ndarray:
+    """Distribution of the cycle-chain state in which a new packet starts:
+    the entry law on states (1,1), (10,1) and (6,1)."""
+    return _entry_vector(p, FpStateIndex(p.k))
 
-    States: 0/1 tagged packet on server 1 with a staler/fresher packet on
-    server 2; 2/3 the mirror images on server 2; 4 tagged delivered, so
-    both servers hold successors. Out-of-order completions preempt the
-    tagged packet (column 1). The initial vector weights the generating
-    events by the stationary odds ``a : a + b`` that server 1 : server 2
-    holds the fresher packet. Mean age and mean peak age both equal
-    ``(a + 2b)(2a + b) / (a + b)^3``.
+
+def _settled(fam):
+    """Where ``fam`` goes on when freezes take no time: along its exits to
+    a singleton. Absorbing columns stay as they are."""
+    exit_ = _RULES.get(fam, (None,))[0]
+    return fam if exit_ is None else _settled(exit_)
+
+
+def _build_preempt_only(p: FpParams) -> AbsorbingChain:
+    """Exact 5-state chain of the preemption-only limit: the zero-freeze
+    collapse of the rule table.
+
+    Each phased family goes straight on to its exit (:func:`_settled`),
+    which leaves singletons 5, 3, 9, 7 and 14, in that order. The initial
+    vector is the entry law at ``L = 1``, settled the same way: the odds
+    ``a(a+b) : a^2+ab+b^2 : (a+b)^2`` on states 5, 3 and 9. Mean age and
+    mean peak age both equal ``(a + 2b)(2a + b) / (a + b)^3``.
     """
-    a, b = p.mu1, p.mu2
-    S, V = np.zeros((5, 5)), np.zeros((5, 2))
-    S[0, 4], S[0, 1] = a, b
-    S[1, 4], V[1, 1] = a, b
-    S[2, 4], S[2, 3] = b, a
-    S[3, 4], V[3, 1] = b, a
-    V[4, 0] = a + b
-    np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
-    init = np.array([a * (a + b), a * a + a * b + b * b, (a + b) ** 2, 0.0, 0.0])
-    return AbsorbingChain(S, V, init / init.sum(), np.eye(5)[4], meta=p.meta())
+    idx = _StateIndex(1, (5, 3, 9, 7, 14), ())
+    col, rates = {**idx.first, _OK: 5, _LOST: 6}, {1: p.mu1, 2: p.mu2}
+    G = np.zeros((5, 7))  # [S V], dense at this order
+    for fam, row in idx.first.items():
+        for server, dst in _RULES[fam][1].items():
+            G[row, col[_settled(dst)]] += rates[server]
+    np.fill_diagonal(G, -G.sum(axis=1))
+    return AbsorbingChain(G[:, :5], G[:, 5:], _entry_vector(p, idx, _settled),
+                          np.eye(5)[idx.first[14]], meta=p.meta())
 
 
 def build_fp_model(p: FpParams) -> AbsorbingChain:

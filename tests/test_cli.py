@@ -117,6 +117,23 @@ class TestAnalyze:
         assert "summary.json" in manifest["outputs"]
         assert manifest["duration_s"] >= 0.0
 
+    @pytest.mark.parametrize("argv", [
+        ["--policy", "zw"],
+        ["--policy", "fp", "--lambda", "2", "--k", "3"],
+        ["--policy", "fp", "--lambda", "inf", "--k", "3"],
+        ["--policy", "fp_preempt_only"],
+    ], ids=["zw", "fp", "fp-inf", "fp_preempt_only"])
+    def test_manifest_names_the_model_it_ran(self, tmp_path, argv):
+        out = tmp_path / "m"
+        assert run(["analyze", "--mu1", "0.3", "--mu2", "1", "--grid-points", "50",
+                    *argv, "--out", str(out)]) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert params["policy"] == meta["policy"]
+        model = {k: v for k, v in params.items() if k not in ("grid_points", "grid_max")}
+        assert model == {k: meta[k] for k in ("policy", "mu1", "mu2", "freeze_rate", "k")
+                         if k in meta}
+
 
 class TestSimulate:
     def test_repeat_runs_are_identical(self, tmp_path):

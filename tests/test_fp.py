@@ -25,7 +25,7 @@ from aoidual import (
     rmc_stationary,
     simulate,
 )
-from aoidual.fp import _entry_chain
+from aoidual.fp import _LOST, _OK, _RULES, _entry_chain, _settled
 from conftest import rmc_entry_vector
 
 PHASED = (1, 2, 4, 6, 8, 10, 11, 12, 13)
@@ -405,6 +405,78 @@ class TestPreemptOnlyChain:
         assert meta["policy"] == "fp_preempt_only" and meta["swapped"]
         assert (meta["mu1"], meta["mu2"]) == (1.0, 0.3)
         assert "freeze_rate" not in meta and "k" not in meta
+
+    @staticmethod
+    def _hand_written(a, b):
+        """The 5-state chain written out by hand, an oracle for the
+        zero-freeze collapse of the rule table. States: 0/1 tagged on
+        server 1 with a staler/fresher packet on server 2, 2/3 the mirror
+        images, 4 tagged delivered; the initial vector weights the
+        generating events by the odds a : a + b that server 1 : server 2
+        holds the fresher packet."""
+        S, V = np.zeros((5, 5)), np.zeros((5, 2))
+        S[0, 4], S[0, 1] = a, b
+        S[1, 4], V[1, 1] = a, b
+        S[2, 4], S[2, 3] = b, a
+        S[3, 4], V[3, 1] = b, a
+        V[4, 0] = a + b
+        np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
+        init = np.array([a * (a + b), a * a + a * b + b * b, (a + b) ** 2, 0.0, 0.0])
+        return S, V, init / init.sum(), np.eye(5)[4]
+
+    @pytest.mark.parametrize("mu1,mu2", PAIRS)
+    def test_collapse_matches_the_hand_written_chain(self, mu1, mu2):
+        model = build_fp_model(preempt_only_params(mu1, mu2))
+        S, V, init, mask = self._hand_written(max(mu1, mu2), min(mu1, mu2))
+        np.testing.assert_array_equal(model.S, S)
+        np.testing.assert_array_equal(model.V, V)
+        np.testing.assert_array_equal(model.aoi_mask, mask)
+        np.testing.assert_allclose(model.init, init, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_any_erlang_order_gives_the_limit(self, k):
+        # analyze --policy fp --lambda inf passes any --k through
+        for mu1, mu2 in self.PAIRS:
+            want = build_fp_model(preempt_only_params(mu1, mu2))
+            got = build_fp_model(FpParams(mu1, mu2, math.inf, k))
+            for field in ("S", "V", "init", "aoi_mask"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            assert got.meta == want.meta
+
+
+class TestRuleTable:
+    """The one freeze/preempt rule table that every chain reads."""
+
+    FROZEN = {fam for fam, (exit_, _) in _RULES.items() if exit_ is not None}
+
+    def test_destinations_are_families_or_absorbing_columns(self):
+        for exit_, moves in _RULES.values():
+            assert exit_ is None or exit_ in _RULES
+            assert set(moves) <= {1, 2}
+            assert all(dst in _RULES or dst in (_OK, _LOST) for dst in moves.values())
+
+    def test_every_exit_chain_ends_at_a_singleton(self):
+        for fam in self.FROZEN:
+            chain = [fam]
+            while _RULES[chain[-1]][0] is not None:
+                chain.append(_RULES[chain[-1]][0])
+                assert len(chain) <= len(_RULES), f"exits of {fam} cycle"
+            assert chain[-1] not in self.FROZEN and _settled(fam) == chain[-1]
+        assert {fam: _settled(fam) for fam in self.FROZEN} == {
+            1: 3, 2: 7, 4: 3, 6: 5, 8: 7, 10: 9, 11: 14, 12: 14, 13: 14}
+
+    def test_singletons_leave_at_both_service_rates(self):
+        # no freeze runs in a singleton, so both servers are busy
+        p = FpParams(0.7, 0.2, 1.3, 3)
+        amc, idx = build_fp_amc(p), FpStateIndex(3)
+        for fam in set(_RULES) - self.FROZEN:
+            assert set(_RULES[fam][1]) == {1, 2}
+            i = idx.index(fam)
+            assert -amc.S[i, i] == p.mu1 + p.mu2
+
+    @pytest.mark.parametrize("k", [1, 4, 50])
+    def test_index_phases_the_frozen_families(self, k):
+        assert FpStateIndex(k).phased == self.FROZEN == set(PHASED)
 
 
 def _dense_means(chain):
