@@ -66,12 +66,16 @@ def _model_params(raw: dict, where: str):
     """Model parameters from ``raw``'s policy, mu1, mu2, lambda and k.
 
     ``where`` formats a field name for messages: a flag (``"--{}"``) or a
-    config field. A missing or non-numeric field is a usage error.
+    config field. A missing or non-numeric field is a usage error, and so
+    is a freeze field (lambda, k) given for a policy without freezes.
     """
     policy = raw.get("policy")
     if policy not in POLICIES:
         raise UsageError(f"{where.format('policy')} must be one of "
                          f"{'/'.join(POLICIES)}")
+    for name in ("lambda", "k") if policy != FP else ():
+        if raw.get(name) is not None:
+            raise UsageError(f"{where.format(name)} does not apply to policy {policy}")
     values = []
     for name in ("mu1", "mu2") + (("lambda", "k") if policy == FP else ()):
         value = raw.get(name)
@@ -102,7 +106,13 @@ def cmd_analyze(args):
 
 
 def _sim_config_from_args(args) -> SimConfig:
+    flags = {**_flag_values(args), "cycles": args.cycles, "warmup": args.warmup,
+             "seed": args.seed, "reps": args.reps}
+    given = {name: value for name, value in flags.items() if value is not None}
     if args.config:
+        if given:
+            raise UsageError(f"{', '.join('--' + name for name in given)} "
+                             "cannot be combined with --config")
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
@@ -110,11 +120,12 @@ def _sim_config_from_args(args) -> SimConfig:
             raise UsageError(f"cannot read config: {err}") from err
         if not isinstance(raw, dict):
             raise UsageError("config must be a JSON object")
+        unknown = sorted(set(raw) - set(flags))
+        if unknown:
+            raise UsageError(f"unknown config field(s) {unknown}; expected {list(flags)}")
         where = "config field '{}'"
-    else:
-        raw = {**_flag_values(args), "cycles": args.cycles,
-               "warmup": args.warmup, "seed": args.seed, "reps": args.reps}
-        where = "--{}"
+    else:  # a flag left out takes the default below, as a config field left out does
+        raw, where = {"policy": ZW, **given}, "--{}"
 
     def field(name, default):
         value = raw.get(name, default)
@@ -237,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p, policies):
-        p.add_argument("--policy", choices=policies, required=True)
+    def add_model_flags(p, **policy):
+        p.add_argument("--policy", choices=POLICIES, **policy)
         p.add_argument("--mu1", type=float, help="service rate of server 1")
         p.add_argument("--mu2", type=float, help="service rate of server 2")
         p.add_argument("--lambda", dest="freeze_rate", type=float,
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="Erlang order of the freeze time")
 
     pa = sub.add_parser("analyze", help="exact distributions and moments")
-    add_model_flags(pa, POLICIES)
+    add_model_flags(pa, required=True)
     pa.add_argument("--grid-points", type=int, default=2000)
     pa.add_argument("--grid-max", type=float, default=40.0,
                     help="grid end as a multiple of the mean")
@@ -255,16 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="simulation")
     ps.add_argument("--config", help="JSON run description")
-    ps.add_argument("--policy", choices=POLICIES, default=ZW)
-    ps.add_argument("--mu1", type=float)
-    ps.add_argument("--mu2", type=float)
-    ps.add_argument("--lambda", dest="freeze_rate", type=float)
-    ps.add_argument("--k", type=int)
-    ps.add_argument("--cycles", type=int, default=1_000_000,
-                    help="successful receptions per replication")
-    ps.add_argument("--warmup", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--reps", type=int, default=2)
+    add_model_flags(ps, help=f"default {ZW}")
+    ps.add_argument("--cycles", type=int, help="successful receptions per replication")
+    ps.add_argument("--warmup", type=int)
+    ps.add_argument("--seed", type=int)
+    ps.add_argument("--reps", type=int)
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_simulate)
 

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .phasetype import AbsorbingChain
-
-#: Absorbing columns 0 and 1 of the cycle chain.
-_OK, _LOST = "success", "failure"
+from .phasetype import _LOST, _OK, AbsorbingChain, _rule_chain, _StateIndex, _triplets
 
 #: The freeze/preempt rules: ``family: (exit, {server: destination})``.
 #: A completion at server 1 (rate ``mu1``) or 2 (``mu2``) moves the chain
@@ -59,9 +55,6 @@ _RULES = {
 
 #: Families a new packet starts in: the states A, B, C of :func:`_entry_chain`.
 _ENTRY = (1, 10, 6)
-
-#: A move in :func:`_triplets`: source, destination, keeps the phase, rate.
-_MOVE = np.dtype([("src", np.intp), ("dst", np.intp), ("same", bool), ("rate", float)])
 
 
 @dataclass(frozen=True)
@@ -116,50 +109,6 @@ def preempt_only_params(mu1: float, mu2: float) -> FpParams:
     return FpParams(mu1, mu2, math.inf, 1)
 
 
-class _StateIndex:
-    """Bijection between symbolic chain states and indices.
-
-    ``families`` are laid out in the order given; those in ``phased``
-    carry a freeze phase and take a contiguous block of ``k`` indices
-    keyed ``(family, phase)``, the others one index keyed by the bare
-    int. Indices are computed from ``first``, the index of each family's
-    first state, so a map costs ``O(families)`` at any ``k``.
-    """
-
-    def __init__(self, k: int, families, phased):
-        if int(k) != k or k < 1:
-            raise ValueError("Erlang order k must be a positive integer")
-        self.k = int(k)
-        self.phased = frozenset(phased)
-        families = tuple(families)
-        sizes = [self.k if fam in self.phased else 1 for fam in families]
-        *starts, self.size = accumulate(sizes, initial=0)
-        self.first = dict(zip(families, starts))
-
-    def index(self, state) -> int:
-        if isinstance(state, tuple):
-            fam, ell = state
-            if fam in self.phased and 1 <= ell <= self.k:
-                return self.first[fam] + ell - 1
-        elif state in self.first and state not in self.phased:
-            return self.first[state]
-        raise KeyError(state)
-
-    def state(self, index: int):
-        if not 0 <= index < self.size:
-            raise KeyError(index)
-        return self.states()[index]
-
-    def states(self):
-        return [(fam, ell) if fam in self.phased else fam for fam in self.first
-                for ell in range(1, (self.k if fam in self.phased else 1) + 1)]
-
-    def as_dict(self) -> dict:
-        """JSON-friendly map from symbolic labels to dense indices."""
-        return {f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s): idx
-                for idx, s in enumerate(self.states())}
-
-
 class FpStateIndex(_StateIndex):
     """Index map of the cycle chain, ``9k + 5`` states.
 
@@ -181,38 +130,6 @@ class RmcStateIndex(_StateIndex):
         super().__init__(k, range(1, 8), range(1, 6))
 
 
-def _triplets(idx: _StateIndex, rules: dict, rates: dict, step: float,
-              first: dict | None = None):
-    """COO triplets ``(rows, cols, rates)`` of a generator, diagonal included.
-
-    ``rules`` is a table like ``_RULES`` and ``rates`` maps each server to
-    its rate. Every phase of a phased family advances at ``step`` to the
-    next, the last to ``exit``, and each move leaves every phase for the
-    same phase of its destination (or a singleton), as ``(moves, k)``
-    blocks. ``first`` adds destinations beyond the index, such as
-    absorbing columns.
-    """
-    first = {**idx.first, **(first or {})}
-    blocks, single, exits = [], [], {}
-    for fam, (exit_, moves) in rules.items():
-        out = [(first[fam], first[dst], dst in idx.phased, rates[server])
-               for server, dst in moves.items()]
-        if exit_ is None:
-            single += out
-        else:
-            exits[len(blocks)] = first[exit_]
-            blocks += [(first[fam], first[fam] + 1, True, step), *out]
-    blocks, single = np.array(blocks, dtype=_MOVE), np.array(single, dtype=_MOVE)
-    ell = np.arange(idx.k)
-    cols = blocks["dst"][:, None] + ell * blocks["same"][:, None]
-    cols[list(exits), -1] = list(exits.values())
-    rows = np.concatenate(((blocks["src"][:, None] + ell).ravel(), single["src"]))
-    vals = np.concatenate((np.repeat(blocks["rate"], idx.k), single["rate"]))
-    diag = np.arange(idx.size)
-    return (np.concatenate((rows, diag)), np.concatenate((cols.ravel(), single["dst"], diag)),
-            np.concatenate((vals, -np.bincount(rows, vals, minlength=idx.size))))
-
-
 def fp_aoi_mask(k: int) -> np.ndarray:
     """Selector of the post-delivery states, where the cycle chain
     overlaps the age sawtooth: families (11,·), (12,·), (13,·) and state
@@ -230,15 +147,8 @@ def build_fp_amc(p: FpParams) -> AbsorbingChain:
     tagged packet preempted (failure). Use :func:`fp_initial_vector` to
     attach the initial distribution.
     """
-    idx = FpStateIndex(p.k)
-    n = idx.size
-    rows, cols, rates = _triplets(idx, _RULES, {1: p.mu1, 2: p.mu2}, p.k * p.freeze_rate,
-                                  first={_OK: n, _LOST: n + 1})
-    into_S = cols < n
-    V = np.zeros((n, 2))
-    np.add.at(V, (rows[~into_S], cols[~into_S] - n), rates[~into_S])
-    S = sparse.coo_array((rates[into_S], (rows[into_S], cols[into_S])), shape=(n, n))
-    return AbsorbingChain(S, V, None, fp_aoi_mask(p.k), meta=p.meta())
+    return _rule_chain(FpStateIndex(p.k), _RULES, {1: p.mu1, 2: p.mu2},
+                       p.k * p.freeze_rate, None, fp_aoi_mask(p.k), p.meta())
 
 
 def build_fp_rmc(p: FpParams) -> sparse.csr_array:
@@ -376,14 +286,10 @@ def _build_preempt_only(p: FpParams) -> AbsorbingChain:
     mean peak age both equal ``(a + 2b)(2a + b) / (a + b)^3``.
     """
     idx = _StateIndex(1, (5, 3, 9, 7, 14), ())
-    col, rates = {**idx.first, _OK: 5, _LOST: 6}, {1: p.mu1, 2: p.mu2}
-    G = np.zeros((5, 7))  # [S V], dense at this order
-    for fam, row in idx.first.items():
-        for server, dst in _RULES[fam][1].items():
-            G[row, col[_settled(dst)]] += rates[server]
-    np.fill_diagonal(G, -G.sum(axis=1))
-    return AbsorbingChain(G[:, :5], G[:, 5:], _entry_vector(p, idx, _settled),
-                          np.eye(5)[idx.first[14]], meta=p.meta())
+    rules = {fam: (None, {server: _settled(dst) for server, dst in _RULES[fam][1].items()})
+             for fam in idx.first}
+    return _rule_chain(idx, rules, {1: p.mu1, 2: p.mu2}, 0.0, _entry_vector(p, idx, _settled),
+                       np.eye(5)[idx.first[14]], p.meta())
 
 
 def build_fp_model(p: FpParams) -> AbsorbingChain:

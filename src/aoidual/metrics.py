@@ -14,6 +14,7 @@ sub-chain is built.
 
 from __future__ import annotations
 
+from numbers import Integral
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -37,8 +38,9 @@ class GridSpec:
     max_mult: float = 40.0
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ValueError("grid needs at least two points")
+        if not isinstance(self.points, Integral) or self.points < 2:
+            raise ValueError("grid needs an integer number of points, at least two, "
+                             f"got {self.points!r}")
         if not self.max_mult > MIN_MULT:
             raise ValueError(f"need max_mult > {MIN_MULT}")
 

@@ -4,10 +4,10 @@ A phase-type random variable is the time to absorption of a CTMC with
 transient generator block ``S`` (all states transient, so ``S`` is
 nonsingular) started from an initial probability vector ``sigma``, so it
 is held as an :class:`AbsorbingChain` like every policy model. This
-module holds the numerics they all build on: the chain, absorption
-probabilities, the matrix-exponential action computed by uniformization,
-and the one law whose densities, cdfs and non-central moments
-``metrics`` evaluates.
+module holds the numerics they all build on: the chain, its assembly
+from a policy's rule table, absorption probabilities, the action of the
+matrix exponential by uniformization, and the one law whose densities,
+cdfs and non-central moments ``metrics`` evaluates.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from math import ceil, exp, factorial, lgamma, log, log2
 from types import MappingProxyType
 from typing import Mapping
@@ -201,6 +202,101 @@ class AbsorbingChain:
             _io.write_matrix_csv(path, vec.reshape(1, -1))
             written.append(path)
         return written
+
+
+#: Absorbing columns 0 and 1 of a policy's cycle chain.
+_OK, _LOST = "success", "failure"
+
+#: A move in :func:`_triplets`: source, destination, keeps the phase, rate.
+_MOVE = np.dtype([("src", np.intp), ("dst", np.intp), ("same", bool), ("rate", float)])
+
+
+class _StateIndex:
+    """Bijection between symbolic chain states and indices.
+
+    ``families`` are laid out in the order given; those in ``phased``
+    carry a freeze phase and take a contiguous block of ``k`` indices
+    keyed ``(family, phase)``, the others one index keyed by the bare
+    int. Indices are computed from ``first``, the index of each family's
+    first state, so a map costs ``O(families)`` at any ``k``.
+    """
+
+    def __init__(self, k: int, families, phased):
+        if int(k) != k or k < 1:
+            raise ValueError("Erlang order k must be a positive integer")
+        self.k = int(k)
+        self.phased = frozenset(phased)
+        families = tuple(families)
+        sizes = [self.k if fam in self.phased else 1 for fam in families]
+        *starts, self.size = accumulate(sizes, initial=0)
+        self.first = dict(zip(families, starts))
+
+    def index(self, state) -> int:
+        if isinstance(state, tuple):
+            fam, ell = state
+            if fam in self.phased and 1 <= ell <= self.k:
+                return self.first[fam] + ell - 1
+        elif state in self.first and state not in self.phased:
+            return self.first[state]
+        raise KeyError(state)
+
+    def state(self, index: int):
+        if not 0 <= index < self.size:
+            raise KeyError(index)
+        return self.states()[index]
+
+    def states(self):
+        return [(fam, ell) if fam in self.phased else fam for fam in self.first
+                for ell in range(1, (self.k if fam in self.phased else 1) + 1)]
+
+    def as_dict(self) -> dict:
+        """JSON-friendly map from symbolic labels to dense indices."""
+        return {f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s): idx
+                for idx, s in enumerate(self.states())}
+
+
+def _triplets(idx: _StateIndex, rules: dict, rates: dict, step: float):
+    """COO triplets ``(rows, cols, rates)`` of a generator, diagonal included.
+
+    ``rules`` maps each family to ``(exit, {server: destination})`` and
+    ``rates`` each server to its rate; a destination is a family or an
+    absorbing column (``_OK`` and ``_LOST``, columns ``idx.size`` and
+    ``idx.size + 1``). Every phase of a phased family advances at
+    ``step`` to the next, the last to ``exit``, and each move leaves every
+    phase for the same phase of its destination (or a singleton), as
+    ``(moves, k)`` blocks.
+    """
+    first = {**idx.first, _OK: idx.size, _LOST: idx.size + 1}
+    blocks, single, exits = [], [], {}
+    for fam, (exit_, moves) in rules.items():
+        out = [(first[fam], first[dst], dst in idx.phased, rates[server])
+               for server, dst in moves.items()]
+        if exit_ is None:
+            single += out
+        else:
+            exits[len(blocks)] = first[exit_]
+            blocks += [(first[fam], first[fam] + 1, True, step), *out]
+    blocks, single = np.array(blocks, dtype=_MOVE), np.array(single, dtype=_MOVE)
+    ell = np.arange(idx.k)
+    cols = blocks["dst"][:, None] + ell * blocks["same"][:, None]
+    cols[list(exits), -1] = list(exits.values())
+    rows = np.concatenate(((blocks["src"][:, None] + ell).ravel(), single["src"]))
+    vals = np.concatenate((np.repeat(blocks["rate"], idx.k), single["rate"]))
+    diag = np.arange(idx.size)
+    return (np.concatenate((rows, diag)), np.concatenate((cols.ravel(), single["dst"], diag)),
+            np.concatenate((vals, -np.bincount(rows, vals, minlength=idx.size))))
+
+
+def _rule_chain(idx: _StateIndex, rules: dict, rates: dict, step: float,
+                init, mask, meta) -> AbsorbingChain:
+    """The chain of a rule table: moves into ``_OK``/``_LOST`` fill ``V``, the rest ``S``."""
+    n = idx.size
+    rows, cols, vals = _triplets(idx, rules, rates, step)
+    into_S = cols < n
+    V = np.zeros((n, 2))
+    np.add.at(V, (rows[~into_S], cols[~into_S] - n), vals[~into_S])
+    S = sparse.coo_array((vals[into_S], (rows[into_S], cols[into_S])), shape=(n, n))
+    return AbsorbingChain(S, V, init, mask, meta=meta)
 
 
 # ---------------------------------------------------------------------------

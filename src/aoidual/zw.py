@@ -1,13 +1,14 @@
-"""Zero-wait policy: absorbing-chain model and closed-form means.
+"""Zero-wait policy: rule table, absorbing chain and closed-form means.
 
 Under zero wait both servers are always busy; whenever one finishes, a
 fresh update is transmitted on it immediately, and the monitor discards
 receptions whose timestamp is older than the freshest already accepted.
-A cycle between consecutive accepted receptions is modeled by a 9-state
-absorbing chain: 7 transient states tracking the tagged packet and the
-staleness ordering of the two in-flight packets, one absorbing state for
-a successful next reception and one for the tagged packet being
-discarded.
+A cycle between consecutive accepted receptions is an absorbing chain
+read from a rule table (``_RULES``) in the freeze/preempt format: 7
+transient states tracking the tagged packet and the staleness ordering
+of the two in-flight packets, all singletons (no freeze ever runs), and
+the absorbing columns of a successful next reception and of the tagged
+packet being discarded.
 """
 
 from __future__ import annotations
@@ -17,11 +18,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .phasetype import AbsorbingChain
+from .phasetype import _LOST, _OK, AbsorbingChain, _rule_chain, _StateIndex
 
 #: Transient states whose occupancy overlaps the age sawtooth: the tagged
 #: packet has been delivered and the chain is waiting for its successor.
 AOI_STATES = (4, 5, 6)  # zero-based indices of states 5, 6, 7
+
+#: The zero-wait rules, ``state: (None, {server: destination})`` as in
+#: ``fp._RULES``: a completion at server 1 (rate ``mu1``) or 2 (``mu2``)
+#: moves the chain to the destination, a state or an absorbing column.
+#: Both servers are always busy, so every state is a singleton.
+_RULES = {
+    # 1/2: tagged on server 1, the packet on server 2 not fresher/fresher
+    1: (None, {1: 6, 2: 2}), 2: (None, {1: 5, 2: _LOST}),
+    # 3/4: the mirror images, tagged on server 2
+    3: (None, {1: 4, 2: 7}), 4: (None, {1: _LOST, 2: 5}),
+    # tagged delivered: 5 both in-flight packets up to date, 6/7 the packet
+    # on server 2/1 stale
+    5: (None, {1: _OK, 2: _OK}), 6: (None, {1: _OK, 2: 5}), 7: (None, {1: 5, 2: _OK}),
+}
 
 
 @dataclass(frozen=True)
@@ -59,46 +74,19 @@ class ZwMeans(NamedTuple):
 
 
 def build_zw_amc(p: ZwParams) -> AbsorbingChain:
-    """Absorbing chain of a zero-wait cycle.
-
-    Transient states (1-based, as indexed in the transition table):
-
-    1. tagged packet on server 1, other packet not fresher
-    2. tagged packet on server 1, other packet fresher
-    3. tagged packet on server 2, other packet not fresher
-    4. tagged packet on server 2, other packet fresher
-    5. tagged delivered, both in-flight packets up to date
-    6. tagged delivered, packet on server 2 stale
-    7. tagged delivered, packet on server 1 stale
+    """Absorbing chain of a zero-wait cycle, read from ``_RULES``; state
+    ``i`` is row ``i - 1``.
 
     Absorbing columns: 0 = next fresh reception (success), 1 = tagged
     packet discarded at the monitor. The initial vector places the tagged
     packet on server ``i`` with probability ``mu_i / (mu1 + mu2)``.
     """
     a, b = p.mu1, p.mu2
-    S = np.zeros((7, 7))
-    V = np.zeros((7, 2))
-    S[0, 1] = b
-    S[0, 5] = a
-    S[1, 4] = a
-    V[1, 1] = b
-    S[2, 3] = a
-    S[2, 6] = b
-    S[3, 4] = b
-    V[3, 1] = a
-    V[4, 0] = a + b
-    S[5, 4] = b
-    V[5, 0] = a
-    S[6, 4] = a
-    V[6, 0] = b
-    np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
-
-    init = np.zeros(7)
-    init[0] = a / (a + b)
-    init[2] = b / (a + b)
+    init = np.array([a, 0, b, 0, 0, 0, 0]) / (a + b)
     mask = np.zeros(7)
     mask[list(AOI_STATES)] = 1.0
-    return AbsorbingChain(S, V, init, mask, meta=p.meta())
+    return _rule_chain(_StateIndex(1, _RULES, ()), _RULES, {1: a, 2: b}, 0.0, init, mask,
+                       p.meta())
 
 
 def zw_explicit_inverse(p: ZwParams) -> np.ndarray:

@@ -74,6 +74,16 @@ class TestAnalyze:
         assert code == 2
         assert "--mu2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("policy", ["zw", "fp_preempt_only"])
+    def test_freeze_flags_without_freezes_exit_two(self, tmp_path, capsys, command, policy):
+        # the freeze flags would be dropped: refuse them instead
+        for flags in (["--lambda", "3"], ["--k", "7"], ["--lambda", "3", "--k", "7"]):
+            assert run([command, "--policy", policy, "--mu1", "1", "--mu2", "0.5", *flags,
+                        "--out", str(tmp_path / "x")]) == 2
+            assert f"{flags[0]} does not apply to policy {policy}" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
     def test_invalid_rate_exits_two(self, tmp_path):
         assert run(["analyze", "--policy", "zw", "--mu1", "-1", "--mu2", "1",
                     "--out", str(tmp_path / "x")]) == 2
@@ -238,6 +248,51 @@ class TestSimulate:
     def test_flags_require_rates(self, tmp_path):
         assert run(["simulate", "--policy", "zw", "--cycles", "5000",
                     "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("field,value", [("lambda", 3.0), ("k", 7)])
+    @pytest.mark.parametrize("policy", ["zw", "fp_preempt_only"])
+    def test_config_freeze_field_without_freezes_exits_two(self, tmp_path, capsys,
+                                                           policy, field, value):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": policy, "mu1": 1.0, "mu2": 0.5,
+                                        "cycles": 2000, field: value}))
+        assert run(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert f"config field '{field}' does not apply" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_unknown_field_exits_two(self, tmp_path, capsys):
+        # a misspelt "cycles" must not fall back to the 1e6-cycle default
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": "zw", "mu1": 1.0, "mu2": 0.5,
+                                        "cycle": 2000}))
+        assert run(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "unknown config field(s) ['cycle']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags", [["--cycles", "5"], ["--policy", "fp"],
+                                       ["--seed", "9", "--mu1", "2"]])
+    def test_config_with_run_flags_exits_two(self, tmp_path, capsys, flags):
+        # the config would silently override them
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": "zw", "mu1": 1.0, "mu2": 0.5,
+                                        "cycles": 2000}))
+        assert run(["simulate", "--config", str(cfg_path), *flags,
+                    "--out", str(tmp_path / "x")]) == 2
+        assert f"{flags[0]} " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_flags_and_config_share_the_defaults(self, tmp_path):
+        from aoidual.cli import _sim_config_from_args, build_parser
+
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": "zw", "mu1": 1.0, "mu2": 0.5}))
+        parse = build_parser().parse_args
+        flags = _sim_config_from_args(parse(["simulate", "--mu1", "1", "--mu2", "0.5"]))
+        config = _sim_config_from_args(parse(["simulate", "--config", str(cfg_path)]))
+        assert flags.describe() == config.describe()
+        assert (flags.horizon, flags.seed, flags.replications) == (1_000_000, 0, 2)
 
 
 class TestOptimize:

@@ -25,6 +25,7 @@ from aoidual import (
     rmc_stationary,
     simulate,
 )
+from aoidual import zw
 from aoidual.fp import _LOST, _OK, _RULES, _entry_chain, _settled
 from conftest import rmc_entry_vector
 
@@ -477,6 +478,21 @@ class TestRuleTable:
     @pytest.mark.parametrize("k", [1, 4, 50])
     def test_index_phases_the_frozen_families(self, k):
         assert FpStateIndex(k).phased == self.FROZEN == set(PHASED)
+
+    def test_zero_wait_destinations_are_states_or_absorbing_columns(self):
+        assert list(zw._RULES) == list(range(1, 8))
+        for exit_, moves in zw._RULES.values():
+            assert exit_ is None  # both servers always busy: no freeze, no phase
+            assert set(moves) == {1, 2}
+            assert all(dst in zw._RULES or dst in (_OK, _LOST) for dst in moves.values())
+
+    @pytest.mark.parametrize("mu1,mu2", [(0.7, 0.2), (1.0, 1.0), (1e3, 1e-3)])
+    def test_zero_wait_states_leave_at_both_service_rates(self, mu1, mu2):
+        chain = zw.build_zw_amc(zw.ZwParams(mu1, mu2))
+        np.testing.assert_array_equal(-np.diag(chain.S), np.full(7, mu1 + mu2))
+        off = chain.S - np.diag(np.diag(chain.S))
+        np.testing.assert_array_equal(off.sum(axis=1) + chain.V.sum(axis=1),
+                                      np.full(7, mu1 + mu2))
 
 
 def _dense_means(chain):

@@ -156,6 +156,16 @@ class TestSummarize:
         assert summary.aoi_table.grid.shape == (101,)
         assert summary.aoi_table.grid[0] == 0.0
 
+    @pytest.mark.parametrize("points", [2.5, 100.0, "100", None])
+    def test_grid_spec_rejects_non_integer_points(self, points):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(points=points)
+
+    def test_grid_spec_takes_numpy_integers(self):
+        spec = GridSpec(points=np.int64(50))
+        assert spec.points == 50
+        assert spec.build(1.0).shape == (51,)
+
     def test_meta_carries_parameters_and_kind(self):
         summary = summarize(build_zw_amc(ZW_HET))
         assert summary.aoi_table.meta["kind"] == "aoi"

@@ -72,6 +72,32 @@ class TestChainStructure:
             assert np.all(V[no_absorption] == 0.0)
 
 
+    @staticmethod
+    def _hand_written(a, b):
+        """The 7-state chain written out entry by entry, an oracle for the
+        chain read from the rule table (states 1-7 of ``zw._RULES`` are
+        rows 0-6)."""
+        S, V = np.zeros((7, 7)), np.zeros((7, 2))
+        S[0, 1], S[0, 5] = b, a
+        S[1, 4], V[1, 1] = a, b
+        S[2, 3], S[2, 6] = a, b
+        S[3, 4], V[3, 1] = b, a
+        V[4, 0] = a + b
+        S[5, 4], V[5, 0] = b, a
+        S[6, 4], V[6, 0] = a, b
+        np.fill_diagonal(S, -(S.sum(axis=1) + V.sum(axis=1)))
+        init = np.array([a / (a + b), 0, b / (a + b), 0, 0, 0, 0])
+        return S, V, init, np.array([0, 0, 0, 0, 1, 1, 1.0])
+
+    @pytest.mark.parametrize("mu1,mu2", [(1.0, 0.3), (1.0, 1.0), (0.5, 0.1), (0.1, 0.5),
+                                         (3.0, 0.2), (1e3, 1e-3)])
+    def test_table_matches_the_hand_written_chain(self, mu1, mu2):
+        chain = build_zw_amc(ZwParams(mu1, mu2))
+        want = self._hand_written(max(mu1, mu2), min(mu1, mu2))
+        for got, expected in zip((chain.S, chain.V, chain.init, chain.aoi_mask), want):
+            np.testing.assert_array_equal(got, expected)
+
+
 class TestExplicitInverse:
     def test_equal_rates_entries(self):
         inv = zw_explicit_inverse(ZwParams(1.0, 1.0))
