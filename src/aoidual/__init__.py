@@ -6,7 +6,7 @@ the zero-wait and freeze/preempt policies, computed from absorbing
 Markov chain representations; a plain phase-type law (``phase_type``,
 ``erlang_ph``) is such a chain too, and ``ph_pdf``/``ph_cdf``/``ph_moment``
 give the absorption time of any of them. A simulator for validation;
-and a golden-section optimizer for the freeze rate.
+and a golden-section optimizer for the freeze rate over ``fp_means``.
 """
 
 from .phasetype import (
@@ -18,6 +18,7 @@ from .phasetype import (
 )
 from .zw import ZwParams, build_zw_amc, zw_closed_form_means, zw_explicit_inverse
 from .fp import (
+    FpMeans,
     FpParams,
     FpStateIndex,
     RmcStateIndex,
@@ -27,6 +28,7 @@ from .fp import (
     build_fp_rmc,
     fp_aoi_mask,
     fp_initial_vector,
+    fp_means,
     preempt_only_params,
     rmc_stationary,
 )
@@ -68,9 +70,9 @@ __all__ = [
     "AbsorbingChain", "absorption_probability", "erlang_ph",
     "expm_action_grid", "phase_type",
     "ZwParams", "build_zw_amc", "zw_closed_form_means", "zw_explicit_inverse",
-    "FpParams", "FpStateIndex", "RmcStateIndex", "StationarySolution",
+    "FpMeans", "FpParams", "FpStateIndex", "RmcStateIndex", "StationarySolution",
     "build_fp_amc", "build_fp_model", "build_fp_rmc", "fp_aoi_mask",
-    "fp_initial_vector", "preempt_only_params", "rmc_stationary",
+    "fp_initial_vector", "fp_means", "preempt_only_params", "rmc_stationary",
     "AoiSummary", "DistributionTable", "GridSpec", "aoi_cdf", "aoi_mean",
     "aoi_moment", "aoi_pdf", "paoi_cdf", "paoi_mean", "paoi_moment",
     "paoi_pdf", "ph_cdf", "ph_moment", "ph_pdf", "summarize",

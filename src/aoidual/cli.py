@@ -23,8 +23,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__, _io
-from .fp import FpParams, build_fp_model, preempt_only_params
-from .metrics import GridSpec, aoi_mean, paoi_mean, summarize
+from .fp import FpParams, build_fp_model, fp_means, preempt_only_params
+from .metrics import GridSpec, summarize
 from .optimize import optimize_freeze
 from .sim import FP, POLICIES, ZW, SimConfig, simulate
 from .zw import ZwParams, build_zw_amc, zw_closed_form_means
@@ -157,7 +157,8 @@ def cmd_optimize(args):
                              rtol=args.rtol)
     if result.boundary_hit:
         print("warning: optimum at bracket boundary", file=sys.stderr)
-    params = {"mu1": args.mu1, "mu2": args.mu2, "k": args.k,
+    model = FpParams(args.mu1, args.mu2, result.lambda_star, args.k).meta()  # as it ran
+    params = {**{k: v for k, v in model.items() if k not in ("swapped", "freeze_rate")},
               "bracket": [args.bracket_lo, args.bracket_hi], "rtol": args.rtol}
     return (params, None, {"optimum.json": result.to_json},
             f"lambda_star={result.lambda_star:.12g} f_star={result.f_star:.12g} "
@@ -184,14 +185,13 @@ def _figure_cdfs(args, kind: str) -> list:
 def _figure_rate_sweep(kind: str) -> list:
     """Mean age or peak age versus freeze rate, with zero-wait reference."""
     mu2, k = 0.1, 50
-    mean = aoi_mean if kind == "aoi" else paoi_mean
     rows = []
     for mu1 in (0.1, 0.5):
         zw = zw_closed_form_means(ZwParams(mu1, mu2))
         ref = zw.mean_aoi if kind == "aoi" else zw.mean_paoi
         for rate in _RATE_GRID:
-            chain = build_fp_model(FpParams(mu1, mu2, rate, k))
-            rows.append((f"fp_mu1_{mu1:g}", rate, mean(chain)))
+            means = fp_means(FpParams(mu1, mu2, rate, k))
+            rows.append((f"fp_mu1_{mu1:g}", rate, getattr(means, f"mean_{kind}")))
         for rate in _RATE_GRID:
             rows.append((f"zw_mu1_{mu1:g}", rate, ref))
         if kind == "aoi":
@@ -206,7 +206,7 @@ def _figure_optimum_sweep() -> list:
     rows = []
     for mu2 in _MU2_GRID:
         zw = zw_closed_form_means(ZwParams(1.0, mu2)).mean_aoi
-        pre = aoi_mean(build_fp_model(preempt_only_params(1.0, mu2)))
+        pre = fp_means(preempt_only_params(1.0, mu2)).mean_aoi
         rows.append(("preempt_only", mu2, 1, float("nan"), float("nan"),
                      pre, zw, 100.0 * (zw - pre) / zw))
         for k in (1, 10, 50):
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu2", type=float, help="service rate of server 2")
         p.add_argument("--lambda", dest="freeze_rate", type=float,
                        help="freeze rate (freeze/preempt only)")
-        p.add_argument("--k", type=int, help="Erlang order of the freeze time")
+        p.add_argument("--k", type=float, help="Erlang order of the freeze time, or inf")
 
     pa = sub.add_parser("analyze", help="exact distributions and moments")
     add_model_flags(pa, required=True)
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("optimize", help="freeze-rate optimization")
     po.add_argument("--mu1", type=float, required=True)
     po.add_argument("--mu2", type=float, required=True)
-    po.add_argument("--k", type=int, required=True)
+    po.add_argument("--k", type=float, required=True, help="Erlang order, or inf")
     po.add_argument("--bracket-lo", type=float, default=0.05)
     po.add_argument("--bracket-hi", type=float, default=100.0)
     po.add_argument("--rtol", type=float, default=1e-4)

@@ -2,11 +2,11 @@
 
 Under freeze/preempt, every transmission start halts sampling and
 transmission for an Erlang-``k`` duration with mean ``1/freeze_rate``
-(``k`` phases, each at rate ``k * freeze_rate``), and a packet still in
-service becomes obsolete and is removed at the source the moment a
-fresher packet is delivered. When a freeze ends with a server free, a
-fresh packet starts on the free server (server 1 if both are free) and
-a new freeze begins.
+(``k`` phases, each at rate ``k * freeze_rate``; ``k = inf`` is a
+deterministic freeze), and a packet still in service becomes obsolete
+and is removed at the source the moment a fresher packet is delivered.
+When a freeze ends with a server free, a fresh packet starts on the
+free server (server 1 if both are free) and a new freeze begins.
 
 The cycle between consecutive receptions is an absorbing chain over
 ``9k + 5`` transient states, built from one rule table (``_RULES``):
@@ -16,18 +16,22 @@ law of the three cycle states a packet starts in, seen from one freeze
 start to the next. A recurrent chain over ``5k + 2`` states is an
 independent reference for it. The preemption-only limit (freezes of
 length zero) is the zero-freeze collapse of the rule table.
+:func:`fp_means` gets the means from the table at any ``k``, ``inf`` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
-from .phasetype import _LOST, _OK, AbsorbingChain, _rule_chain, _StateIndex, _triplets
+from .phasetype import (_LOST, _OK, AbsorbingChain, _erlang_order, _rule_chain, _StateIndex,
+                        _triplets)
 
 #: The freeze/preempt rules: ``family: (exit, {server: destination})``.
 #: A completion at server 1 (rate ``mu1``) or 2 (``mu2``) moves the chain
@@ -56,6 +60,10 @@ _RULES = {
 #: Families a new packet starts in: the states A, B, C of :func:`_entry_chain`.
 _ENTRY = (1, 10, 6)
 
+#: Age families (the tagged packet delivered; contiguous), and the phased families.
+_AGE = (11, 12, 13, 14)
+_PHASED = tuple(fam for fam, (exit_, _) in _RULES.items() if exit_ is not None)
+
 
 @dataclass(frozen=True)
 class FpParams:
@@ -65,8 +73,8 @@ class FpParams:
     given the other way round), ``freeze_rate`` is the reciprocal mean
     freeze duration, and ``k`` is the Erlang order of the freeze
     distribution (``k = 1`` exponential, large ``k`` nearly
-    deterministic). An infinite ``freeze_rate`` means freezes of length
-    zero: the preemption-only policy.
+    deterministic, ``math.inf`` deterministic). An infinite ``freeze_rate``
+    means freezes of length zero: the preemption-only policy.
     """
 
     mu1: float
@@ -80,9 +88,7 @@ class FpParams:
             raise ValueError("service rates must be positive and finite")
         if not self.freeze_rate > 0:
             raise ValueError("freeze_rate must be positive")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError("Erlang order k must be a positive integer")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _erlang_order(self.k, infinite=True))
         fast, slow = float(self.mu1), float(self.mu2)
         if fast < slow:
             fast, slow = slow, fast
@@ -96,11 +102,12 @@ class FpParams:
         return "fp_preempt_only" if math.isinf(self.freeze_rate) else "fp"
 
     def meta(self) -> dict:
-        """Model fields; the preemption-only limit has no freeze rate or k."""
+        """Model fields; the preemption-only limit has no freeze rate or k.
+        ``k = inf`` is ``"inf"``: JSON would write it as null, "not applicable"."""
         out = {"policy": self.policy, "mu1": self.mu1, "mu2": self.mu2,
                "swapped": self.swapped}
         if self.policy == "fp":
-            out.update(freeze_rate=self.freeze_rate, k=self.k)
+            out.update(freeze_rate=self.freeze_rate, k=self.k if self.k < math.inf else "inf")
         return out
 
 
@@ -119,7 +126,9 @@ class FpStateIndex(_StateIndex):
     """
 
     def __init__(self, k: int):
-        super().__init__(k, _RULES, [f for f, (e, _) in _RULES.items() if e is not None])
+        if k == math.inf:
+            raise ValueError("k = inf is not phase-type: use fp_means, as optimize does")
+        super().__init__(k, _RULES, _PHASED)
 
 
 class RmcStateIndex(_StateIndex):
@@ -136,8 +145,9 @@ def fp_aoi_mask(k: int) -> np.ndarray:
     14 — ``3k + 1`` states in total."""
     idx = FpStateIndex(k)
     mask = np.zeros(idx.size)
-    mask[idx.first[11]:idx.first[14] + 1] = 1.0  # laid out contiguously
+    mask[idx.first[_AGE[0]]:idx.first[_AGE[-1]] + 1] = 1.0
     return mask
+
 
 
 def build_fp_amc(p: FpParams) -> AbsorbingChain:
@@ -236,18 +246,23 @@ def _entry_chain(p: FpParams) -> np.ndarray:
     one freeze start to the next: A = (1,1), alone on server 1; B = (10,1),
     on server 2 beside an older packet; C = (6,1), the mirror image.
 
-    With ``L(s) = (1 + s/(k*freeze_rate))^-k`` the freeze's Laplace
-    transform, A -> B w.p. ``L(mu1)`` (the new packet outlasts the freeze),
-    B -> C w.p. ``L(mu2) - mu2/(mu1+mu2) L(mu1+mu2)`` (the older packet
-    finishes first, the new one after the freeze), C -> B in the mirror
-    image, and every other move goes to A."""
-    a, b, k, step = p.mu1, p.mu2, p.k, p.k * p.freeze_rate
+    With ``L(s) = (1 + s/(k*freeze_rate))^-k`` (``exp(-s/freeze_rate)`` at
+    ``k = inf``) the freeze's Laplace transform, A -> B w.p. ``L(mu1)`` (the
+    new packet outlasts the freeze), B -> C w.p. ``L(mu2) - mu2/(mu1+mu2)
+    L(mu1+mu2)`` (the older packet finishes first, the new one after the
+    freeze), C -> B in the mirror image, and every other move goes to A."""
+    a, b = p.mu1, p.mu2
+
+    def log_lt(s, shift=0.0):  # log(L(shift + s) / L(shift))
+        if p.k == math.inf:
+            return -s / p.freeze_rate
+        return -p.k * math.log1p(s / (p.k * p.freeze_rate + shift))
 
     def swap(new, old):  # the difference through L(new + old)/L(new), so none cancels
-        tail = math.expm1(-k * math.log1p(old / (step + new)))
-        return math.exp(-k * math.log1p(new / step)) * (old - new * tail) / (new + old)
+        tail = math.expm1(log_lt(old, new))
+        return math.exp(log_lt(new)) * (old - new * tail) / (new + old)
 
-    ab, bc, cb = math.exp(-k * math.log1p(a / step)), swap(b, a), swap(a, b)
+    ab, bc, cb = math.exp(log_lt(a)), swap(b, a), swap(a, b)
     return np.array([[1 - ab, ab, 0], [1 - bc, 0, bc], [1 - cb, cb, 0]])
 
 
@@ -302,3 +317,60 @@ def build_fp_model(p: FpParams) -> AbsorbingChain:
     if p.policy == "fp_preempt_only":
         return _build_preempt_only(p)
     return build_fp_amc(p).with_init(fp_initial_vector(p))
+
+
+class FpMeans(NamedTuple):
+    """Mean age, mean peak age and success probability of a cycle."""
+    mean_aoi: float
+    mean_paoi: float
+    p_success: float
+
+
+#: Epoch types (freeze starts in the phased families, then the singletons); per server, the
+#: 0/1 move of a completion from each (to _OK and _LOST last); freeze ends; the age epochs.
+_EPOCHS = _StateIndex(1, _PHASED + tuple(f for f in _RULES if f not in _PHASED), ())
+_MOVES = np.array([[[float(_RULES[f][1].get(server) == to) for to in (*_EPOCHS.first, _OK, _LOST)]
+                    for f in _EPOCHS.first] for server in (1, 2)])
+_EXITS = np.array([[float(_RULES[f][0] == to) for to in _EPOCHS.first] for f in _PHASED])
+_AGE_EPOCHS = np.isin(list(_EPOCHS.first), _AGE).astype(float)
+
+
+def fp_means(p: FpParams) -> FpMeans:
+    """The chain's mean age, mean peak age and P(success) at any ``k``, in fixed size.
+
+    A Markov-renewal view of the cycle. In a freeze ``D = T U`` of mean ``T`` the phased
+    families move under one 9x9 generator ``A``, so ``e^{BU}``, ``B = [[A T, I, 0], [0, 0,
+    I], [0, 0, 0]]``, holds ``e^{AD}``, ``int_0^D e^{As} ds / T`` and ``int_0^D (D-s) e^{As}
+    ds / T^2`` (Van Loan 1978; ``T`` keeps every block of order one). With the epoch kernel
+    ``K0``, its length-weighted ``K1``, ``N = (I - K0)^-1`` and the entry law ``pi0``: mean
+    age ``(pi0 N O1 + pi0 N K1 N O0) / pi0 N O0``, P(success) ``pi0 N ok0``, mean peak age
+    ``(pi0 N ok1 + pi0 N K1 N ok0) / pi0 N ok0``, for an epoch's age occupancy and success.
+    """
+    Q = p.mu1 * _MOVES[0] + p.mu2 * _MOVES[1]
+    q = Q.sum(axis=1)
+    n, T = len(_PHASED), 1.0 / p.freeze_rate  # T = 0: freezes add nothing
+    B = np.zeros((3 * n, 3 * n))
+    B[:n, :n] = (Q[:n, :n] - np.diag(q[:n])) * T
+    B[:n, n:2 * n] = B[n:2 * n, 2 * n:] = np.eye(n)
+    if p.k == math.inf:  # E[e^{BU}] and E[U e^{BU}] for U = 1
+        E = EU = expm(B)
+    else:  # M^k and M^(k+1) for M = (I - B/k)^-1 = I + C, by squaring C: as (I + X)(I + Y)
+        # = I + (X + Y + XY), the identity never swamps C, and no rounding error grows with k
+        C, k = np.linalg.solve(p.k * np.eye(3 * n) - B, B), p.k
+        R, base = np.zeros_like(B), C
+        while k:
+            if k & 1:
+                R = R + base + R @ base
+            base, k = base + base + base @ base, k >> 1
+        E, EU = np.eye(3 * n) + R, np.eye(3 * n) + R + C + R @ C
+    # E int_0^D e^{As} ds, and E int_0^D s e^{As} ds as E[D int_0^D] - E int_0^D (D - s)
+    phi0, phi1 = T * E[:n, n:2 * n], T * T * (EU[:n, n:2 * n] - E[:n, 2 * n:])
+    K0 = np.vstack((E[:n, :n] @ _EXITS, Q[n:, :-2] / q[n:, None]))
+    K1 = np.vstack((T * EU[:n, :n] @ _EXITS, K0[n:] / q[n:, None]))
+    W = np.column_stack((_AGE_EPOCHS, Q[:, -2]))  # age occupancy, success rate
+    W0 = np.vstack((phi0 @ W[:n], W[n:] / q[n:, None]))
+    W1 = np.vstack((phi1 @ W[:n], W[n:] / q[n:, None] ** 2))
+    I_K0 = np.eye(_EPOCHS.size) - K0
+    visits = np.linalg.solve(I_K0.T, _entry_vector(p, _EPOCHS))
+    (age0, ok0), (age1, ok1) = visits @ W0, visits @ W1 + visits @ K1 @ np.linalg.solve(I_K0, W0)
+    return FpMeans(float(age1 / age0), float(ok1 / ok0), float(ok0))

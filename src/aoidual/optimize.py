@@ -4,7 +4,9 @@ The mean age under freeze/preempt behaves unimodally in the freeze
 rate: long freezes underuse the servers, very short freezes degenerate
 to preemption-only. Golden-section search finds the minimizer without
 derivatives; the surrounding driver compares the optimum against the
-zero-wait baseline.
+zero-wait baseline. Each evaluation is ``fp.fp_means``, whose cost does
+not grow with the Erlang order; at a finite order the cycle chain checks
+it once, at the optimum.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from math import inf, sqrt
 
 from . import _io
-from .fp import FpParams, build_fp_model
+from .fp import FpParams, build_fp_model, fp_means
 from .metrics import aoi_mean
 from .zw import ZwParams, zw_closed_form_means
 
@@ -104,11 +106,13 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
                     rtol: float = 1e-4) -> OptResult:
     """Find the freeze rate minimizing mean age for ``(mu1, mu2, k)``.
 
-    The objective builds the full freeze/preempt model at each candidate
-    rate (cached per rate, since the search revisits points). If the
+    The objective is :func:`fp_means`'s mean age at each candidate rate
+    (cached per rate, since the search revisits points). If the
     minimizer lands within 5% of a bracket edge the bracket is expanded
     tenfold on that side and the search retried once; a persistent edge
-    hit is reported in ``boundary_hit``.
+    hit is reported in ``boundary_hit``. At a finite ``k``, ``aoi_at_star``
+    is the cycle chain's mean age, and a RuntimeError is raised if it
+    differs from the objective's by more than 1e-12 relative.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi < inf:
@@ -119,7 +123,7 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
 
     def objective(rate: float) -> float:
         if rate not in cache:
-            cache[rate] = aoi_mean(build_fp_model(FpParams(mu1, mu2, rate, k)))
+            cache[rate] = fp_means(FpParams(mu1, mu2, rate, k)).mean_aoi
         return cache[rate]
 
     boundary_hit = False
@@ -136,6 +140,11 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
                 lo = lo / 10.0
             if near_hi:
                 hi = hi * 10.0
+    if k != inf:
+        chain = aoi_mean(build_fp_model(FpParams(mu1, mu2, x, k)))
+        if not abs(chain - f) <= 1e-12 * chain:
+            raise RuntimeError(f"mean age at {x!r}: fp_means {f!r}, cycle chain {chain!r}")
+        f = chain
     zw_aoi = zw_closed_form_means(ZwParams(mu1, mu2)).mean_aoi
     return OptResult(
         lambda_star=x, f_star=1.0 / x, aoi_at_star=f, zw_aoi=zw_aoi,

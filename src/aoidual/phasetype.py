@@ -19,7 +19,8 @@ import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from math import ceil, exp, factorial, lgamma, log, log2
+from math import ceil, exp, factorial, inf, isfinite, lgamma, log, log2
+from numbers import Real
 from types import MappingProxyType
 from typing import Mapping
 
@@ -88,6 +89,15 @@ def _factored(S):
         return Q, splu(Q)
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise ValueError("S is singular: not all states are transient") from err
+
+
+def _erlang_order(k, infinite: bool = False):
+    """``k`` as a positive int, or ``inf`` (deterministic) where ``infinite`` allows it."""
+    if infinite and k == inf:
+        return inf
+    if not (isinstance(k, Real) and isfinite(k) and k >= 1 and int(k) == k):
+        raise ValueError(f"Erlang order k must be a positive integer{' or inf' * infinite}: {k!r}")
+    return int(k)
 
 
 def _checked_init(init, n: int) -> np.ndarray:
@@ -222,9 +232,7 @@ class _StateIndex:
     """
 
     def __init__(self, k: int, families, phased):
-        if int(k) != k or k < 1:
-            raise ValueError("Erlang order k must be a positive integer")
-        self.k = int(k)
+        self.k = _erlang_order(k)
         self.phased = frozenset(phased)
         families = tuple(families)
         sizes = [self.k if fam in self.phased else 1 for fam in families]
@@ -618,9 +626,7 @@ def erlang_ph(rate: float, k: int) -> AbsorbingChain:
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if int(k) != k or k < 1:
-        raise ValueError("order k must be a positive integer")
-    k = int(k)
+    k = _erlang_order(k)
     step = k * rate
     S = np.diag(np.full(k, -step))
     if k > 1:

@@ -26,8 +26,8 @@ elementwise. An infinite freeze rate is simulated as preemption-only.
 Replications draw from independent counter-based streams (Philox keyed
 by seed and replication index), so results are bit-reproducible and
 replications could run in any order. The merged stream draws its gaps
-and marks in blocks of ``horizon`` events, freeze/preempt its gamma
-freezes and exponential services in fixed blocks of cycles.
+and marks in blocks of ``horizon`` events, freeze/preempt its gamma freezes
+(none at ``k = inf``) and exponential services in fixed blocks of cycles.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from math import nan, sqrt
+from math import inf, nan, sqrt
 from operator import add
 from types import MappingProxyType
 from typing import Mapping
@@ -272,8 +272,9 @@ def _resolve(codes, s0):
 
 
 def _fp_block(rng, p):
-    """Freeze length and both servers' service times for each next cycle."""
-    f = rng.standard_gamma(p.k, _FP_CYCLES) / (p.k * p.freeze_rate)
+    """Freeze length (1/freeze_rate at k = inf) and both service times of each next cycle."""
+    f = (np.full(_FP_CYCLES, 1.0 / p.freeze_rate) if p.k == inf
+         else rng.standard_gamma(p.k, _FP_CYCLES) / (p.k * p.freeze_rate))
     return (f, rng.standard_exponential(_FP_CYCLES) / p.mu1,
             rng.standard_exponential(_FP_CYCLES) / p.mu2)
 
@@ -478,7 +479,7 @@ def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable,
     meta = table.meta
     for key, b in cfg.describe().items():
         a = meta.get(key, b)
-        if a != b and (isinstance(a, str) or abs(a - b) > 1e-12 * max(1.0, abs(a))):
+        if a != b and (str in (type(a), type(b)) or abs(a - b) > 1e-12 * max(1.0, abs(a))):
             warnings.warn(f"configured {key}={b} does not match analytic table ({a})",
                           stacklevel=2)
     result = simulate(cfg, keep_samples=True)

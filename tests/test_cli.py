@@ -145,6 +145,61 @@ class TestAnalyze:
                          if k in meta}
 
 
+    def test_deterministic_freeze_exits_two_naming_the_means_path(self, tmp_path, capsys):
+        assert run(["analyze", "--policy", "fp", "--mu1", "0.5", "--mu2", "0.1",
+                    "--lambda", "1", "--k", "inf", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "not phase-type" in err and "fp_means" in err and "optimize" in err
+        assert not (tmp_path / "x").exists()
+
+
+class TestErlangOrder:
+    """``--k`` and the config's ``k``: a positive integer, or inf."""
+
+    BASE = ["--policy", "fp", "--mu1", "0.5", "--mu2", "0.1", "--lambda", "1",
+            "--cycles", "2000", "--reps", "1"]
+
+    @pytest.mark.parametrize("value", ["nan", "2.5", "0", "-inf"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "optimize"])
+    def test_flag_that_is_no_order_exits_two_naming_k(self, tmp_path, capsys, command, value):
+        argv = ({"analyze": self.BASE[:8], "simulate": self.BASE,
+                 "optimize": ["--mu1", "1", "--mu2", "1"]}[command])
+        assert run([command, *argv, f"--k={value}", "--out", str(tmp_path / "x")]) == 2
+        assert "Erlang order k" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ["NaN", "2.5"])
+    def test_config_order_that_is_no_order_exits_two_naming_k(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"policy": "fp", "mu1": 0.5, "mu2": 0.1, "lambda": 1.0, '
+                            f'"cycles": 2000, "k": {text}}}')
+        assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert "Erlang order k" in capsys.readouterr().err
+
+    def test_config_infinite_order_simulates_a_deterministic_freeze(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"policy": "fp", "mu1": 0.5, "mu2": 0.1, "lambda": 1.0, '
+                            '"cycles": 2000, "reps": 1, "k": 1e999}')
+        out, flags = tmp_path / "cfg", tmp_path / "flags"
+        assert run(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert run(["simulate", *self.BASE, "--k", "inf", "--out", str(flags)]) == 0
+        for name in ("result.json", "aoi_ecdf.csv", "paoi_ecdf.csv"):
+            assert (out / name).read_bytes() == (flags / name).read_bytes()
+        for name in ("result.json", "manifest.json"):
+            payload = json.loads((out / name).read_text())
+            assert (payload.get("config") or payload["parameters"])["k"] == "inf"
+
+    def test_optimize_deterministic_freeze(self, tmp_path, capsys):
+        out = tmp_path / "opt"
+        assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "inf",
+                    "--out", str(out)]) == 0
+        assert "lambda_star=" in capsys.readouterr().out
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert params["k"] == "inf"
+        payload = json.loads((out / "optimum.json").read_text())
+        assert payload["f_star"] == pytest.approx(0.2949, abs=1e-3)
+
+
 class TestSimulate:
     def test_repeat_runs_are_identical(self, tmp_path):
         args = ["simulate", "--policy", "zw", "--mu1", "1", "--mu2", "1",
@@ -328,6 +383,25 @@ class TestOptimize:
         assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "2", flag, value,
                     "--out", str(tmp_path / "x")]) == 2
         assert built == [] and named in capsys.readouterr().err
+
+    def test_manifest_names_the_model_it_ran(self, tmp_path):
+        # the rates in the order the model uses them, as analyze and simulate record
+        out = tmp_path / "opt"
+        assert run(["optimize", "--mu1", "0.1", "--mu2", "1", "--k", "2",
+                    "--out", str(out)]) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert params == {"policy": "fp", "mu1": 1.0, "mu2": 0.1, "k": 2,
+                          "bracket": [0.05, 100.0], "rtol": 1e-4}
+
+    def test_kernel_chain_disagreement_exits_one(self, tmp_path, monkeypatch, capsys):
+        import aoidual.optimize as optimize_module
+
+        real = optimize_module.aoi_mean
+        monkeypatch.setattr(optimize_module, "aoi_mean",
+                            lambda chain: real(chain) * (1.0 + 1e-9))
+        assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "3",
+                    "--out", str(tmp_path / "x")]) == 1
+        assert "cycle chain" in capsys.readouterr().err
 
     def test_numerical_failure_exits_one(self, tmp_path):
         assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "1",

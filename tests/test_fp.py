@@ -19,8 +19,10 @@ from aoidual import (
     build_fp_amc,
     build_fp_model,
     build_fp_rmc,
+    erlang_ph,
     fp_aoi_mask,
     fp_initial_vector,
+    fp_means,
     preempt_only_params,
     rmc_stationary,
     simulate,
@@ -53,6 +55,27 @@ class TestParams:
     def test_preempt_only_convenience(self):
         p = preempt_only_params(1.0, 0.3)
         assert p.k == 1 and math.isinf(p.freeze_rate)
+
+    @pytest.mark.parametrize("k", [math.nan, 2.5, -math.inf, "3"])
+    def test_erlang_order_errors_name_k(self, k):
+        with pytest.raises(ValueError, match="Erlang order k"):
+            FpParams(1.0, 1.0, 1.0, k)
+
+    def test_deterministic_freeze_is_accepted_by_the_parameters_only(self):
+        p = FpParams(1.0, 0.5, 2.0, math.inf)
+        assert p.k == math.inf and p.meta()["k"] == "inf"
+        assert FpParams(1.0, 0.5, 2.0, 3.0).k == 3
+        with pytest.raises(ValueError, match="Erlang order k"):
+            erlang_ph(1.0, math.inf)
+        with pytest.raises(ValueError, match="not phase-type"):
+            FpStateIndex(math.inf)
+
+    def test_deterministic_freeze_meta_is_not_null_in_json(self, tmp_path):
+        from aoidual import _io
+
+        path = tmp_path / "meta.json"
+        _io.write_json(path, FpParams(1.0, 0.5, 2.0, math.inf).meta())
+        assert json.loads(path.read_text())["k"] == "inf"
 
 
 class TestStateIndex:
@@ -595,3 +618,119 @@ class TestStationaryDiagnostics:
         st = rmc_stationary(build_fp_rmc(p), p, residual_tol=1.0)
         assert st.pi[-1] == 0.0 and st.pi.sum() == pytest.approx(1.0, abs=1e-15)
         assert 0.0 < st.clip <= 1e-14
+
+
+#: (mu1, mu2, freeze rate) points at which the freeze-level means are
+#: checked against the chain, each at k = 1, 7, 50 and 200.
+MEANS_POINTS = [(0.5, 0.1, 1.0), (1.0, 1.0, 3.4), (1.0, 0.01, 0.2), (3.0, 0.7, 20.0),
+                (1.0, 0.001, 100.0)]
+
+
+def _chain_means(p):
+    chain = build_fp_model(p)
+    return aoi_mean(chain), paoi_mean(chain), absorption_probability(chain, 0)
+
+
+def _mp_means(p, digits=50):
+    """The formulas of :func:`fp_means` in ``digits``-digit arithmetic, on
+    the unscaled block ``[[A, I, 0], [0, 0, I], [0, 0, 0]]`` with
+    ``E[e^{BD}] = (I - B/(k lambda))^-k``, ``E[D e^{BD}] = E[e^{BD}] (I -
+    B/(k lambda))^-1 / lambda``, or ``expm(B/lambda)`` at ``k = inf``."""
+    mp = pytest.importorskip("mpmath")
+    from aoidual.fp import _AGE_EPOCHS, _ENTRY, _EPOCHS, _EXITS, _MOVES, _PHASED
+
+    with mp.workdps(digits):
+        a, b, lam = mp.mpf(p.mu1), mp.mpf(p.mu2), mp.mpf(p.freeze_rate)
+        if p.k == math.inf:
+            def L(s):
+                return mp.exp(-s / lam)
+        else:
+            def L(s):
+                return (1 + s / (p.k * lam)) ** -p.k
+        ab = L(a)
+        bc, cb = L(b) - b / (a + b) * L(a + b), L(a) - a / (a + b) * L(a + b)
+        m, n = _EPOCHS.size, len(_PHASED)
+        entry = (1 - bc * cb, ab, ab * bc)
+        pi0 = mp.zeros(1, m)
+        for fam, w in zip(_ENTRY, entry):
+            pi0[_EPOCHS.first[fam]] = w / sum(entry)
+        Q = a * mp.matrix(_MOVES[0].tolist()) + b * mp.matrix(_MOVES[1].tolist())
+        q = [sum(Q[i, j] for j in range(m + 2)) for i in range(m)]
+        B = mp.zeros(3 * n, 3 * n)
+        for i in range(n):
+            for j in range(n):
+                B[i, j] = Q[i, j] - (q[i] if i == j else 0)
+            B[i, n + i] = B[n + i, 2 * n + i] = 1
+        if p.k == math.inf:
+            E = mp.expm(B / lam)
+            ED = E / lam
+        else:
+            M = mp.inverse(mp.eye(3 * n) - B / (p.k * lam))
+            E = M ** p.k
+            ED = E * M / lam
+        X = mp.matrix(_EXITS.tolist())
+        K0, K1, W0, W1 = mp.zeros(m, m), mp.zeros(m, m), mp.zeros(m, 2), mp.zeros(m, 2)
+        for i in range(m):
+            for c, w in enumerate((lambda g: _AGE_EPOCHS[g], lambda g: Q[g, m])):
+                if i < n:
+                    W0[i, c] = sum(E[i, n + g] * w(g) for g in range(n))
+                    W1[i, c] = sum((ED[i, n + g] - E[i, 2 * n + g]) * w(g) for g in range(n))
+                else:
+                    W0[i, c], W1[i, c] = w(i) / q[i], w(i) / q[i] ** 2
+            for j in range(m):
+                if i < n:
+                    K0[i, j] = sum(E[i, g] * X[g, j] for g in range(n))
+                    K1[i, j] = sum(ED[i, g] * X[g, j] for g in range(n))
+                else:
+                    K0[i, j], K1[i, j] = Q[i, j] / q[i], Q[i, j] / q[i] ** 2
+        I_K0 = mp.eye(m) - K0
+        visits = mp.lu_solve(I_K0.T, pi0.T).T
+        tail = visits * K1
+        (age0, ok0), once = visits * W0, visits * W1
+        age1 = once[0] + (tail * mp.lu_solve(I_K0, W0[:, 0]))[0]
+        ok1 = once[1] + (tail * mp.lu_solve(I_K0, W0[:, 1]))[0]
+        return float(age1 / age0), float(ok1 / ok0), float(ok0)
+
+
+class TestFpMeans:
+    """Freeze-level means against the chain, a 50-digit evaluation and the
+    Erlang limit."""
+
+    @pytest.mark.parametrize("k", [1, 7, 50, 200])
+    @pytest.mark.parametrize("point", MEANS_POINTS)
+    def test_matches_the_chain(self, point, k):
+        p = FpParams(*point, k)
+        np.testing.assert_allclose(fp_means(p), _chain_means(p), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mu1,mu2", TestPreemptOnlyChain.PAIRS)
+    def test_zero_length_freezes_are_the_preemption_only_chain(self, mu1, mu2):
+        p = preempt_only_params(mu1, mu2)
+        np.testing.assert_allclose(fp_means(p), _chain_means(p), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 50, 1000, math.inf])
+    def test_matches_a_50_digit_evaluation(self, k):
+        p = FpParams(0.5, 0.1, 1.0, k)
+        np.testing.assert_allclose(fp_means(p), _mp_means(p), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("point", MEANS_POINTS[:3])
+    def test_deterministic_freeze_is_the_erlang_limit(self, point):
+        # second-order Richardson extrapolation of the chain's O(1/k) approach
+        f = [np.array(_chain_means(FpParams(*point, k))) for k in (400, 800, 1600)]
+        once = [2.0 * f[1] - f[0], 2.0 * f[2] - f[1]]
+        limit = (4.0 * once[1] - once[0]) / 3.0
+        np.testing.assert_allclose(fp_means(FpParams(*point, math.inf)), limit,
+                                   rtol=1e-9, atol=0)
+
+    def test_deterministic_freeze_values(self):
+        got = fp_means(FpParams(0.5, 0.1, 1.0, math.inf))
+        np.testing.assert_allclose(got, (3.4022728626, 3.8987944932, 0.7411198365),
+                                   rtol=0, atol=1e-10)
+        assert got._fields == ("mean_aoi", "mean_paoi", "p_success")
+
+    def test_chain_builders_refuse_a_deterministic_freeze(self):
+        p = FpParams(0.5, 0.1, 1.0, math.inf)
+        for build in (build_fp_amc, build_fp_model, fp_initial_vector):
+            with pytest.raises(ValueError, match="not phase-type.*fp_means"):
+                build(p)
+        # without freezes the order does not matter
+        assert build_fp_model(FpParams(0.5, 0.1, math.inf, math.inf)).order == 5

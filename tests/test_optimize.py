@@ -1,5 +1,7 @@
 """Golden-section search and the freeze-rate optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from aoidual import (
     ZwParams,
     aoi_mean,
     build_fp_model,
+    fp_means,
     golden_section_min,
     optimize_freeze,
     paoi_mean,
@@ -75,6 +78,46 @@ class TestOptimizeFreeze:
         for mu2, k in ((1.0, 1), (0.5, 10), (0.1, 50)):
             result = optimize_freeze(1.0, mu2, k)
             assert result.aoi_at_star < result.zw_aoi
+
+
+    def test_optimum_is_reported_from_the_chain(self, monkeypatch):
+        import aoidual.optimize as optimize_module
+
+        built = []
+        real = optimize_module.build_fp_model
+        monkeypatch.setattr(optimize_module, "build_fp_model",
+                            lambda p: built.append(p) or real(p))
+        result = optimize_freeze(1.0, 0.5, 10)
+        # one chain, at the optimum; the search ran on the freeze-level means
+        assert [(p.freeze_rate, p.k) for p in built] == [(result.lambda_star, 10)]
+        p = FpParams(1.0, 0.5, result.lambda_star, 10)
+        assert result.aoi_at_star == aoi_mean(real(p))
+        assert result.aoi_at_star == pytest.approx(fp_means(p).mean_aoi, rel=1e-12)
+
+    def test_disagreement_with_the_chain_raises(self, monkeypatch):
+        import aoidual.optimize as optimize_module
+
+        real = optimize_module.aoi_mean
+        monkeypatch.setattr(optimize_module, "aoi_mean",
+                            lambda chain: real(chain) * (1.0 + 1e-10))
+        with pytest.raises(RuntimeError, match="cycle chain"):
+            optimize_freeze(1.0, 0.5, 10)
+
+    def test_deterministic_freeze_builds_no_chain(self, monkeypatch):
+        import aoidual.optimize as optimize_module
+
+        def refuse(p):
+            raise AssertionError("no chain at k = inf")
+
+        erlang = optimize_freeze(1.0, 1.0, 50)
+        monkeypatch.setattr(optimize_module, "build_fp_model", refuse)
+        result = optimize_freeze(1.0, 1.0, math.inf)
+        assert not result.boundary_hit
+        assert result.aoi_at_star == fp_means(FpParams(1.0, 1.0, result.lambda_star,
+                                                       math.inf)).mean_aoi
+        # the k = 50 optimum approaches it from above
+        assert result.f_star == pytest.approx(erlang.f_star, rel=0.05)
+        assert result.aoi_at_star < erlang.aoi_at_star
 
 
 class TestSampledShapes:

@@ -1,12 +1,15 @@
 """Properties of the exact F/P tables over random model parameters."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aoidual import (FpParams, FpStateIndex, GridSpec, aoi_mean, build_fp_model,
-                     fp_initial_vector, paoi_mean, preempt_only_params, summarize)
+from aoidual import (FpParams, FpStateIndex, GridSpec, absorption_probability, aoi_mean,
+                     build_fp_model, fp_initial_vector, fp_means, paoi_mean,
+                     preempt_only_params, summarize)
 from conftest import rmc_entry_vector
 
 rates = st.floats(min_value=0.1, max_value=10.0)
@@ -67,3 +70,40 @@ def test_freezing_never_lowers_mean_peak_age(mu1, mu2, freeze_rate, k):
     bound = paoi_mean(build_fp_model(preempt_only_params(mu1, mu2)))
     mean = paoi_mean(build_fp_model(FpParams(mu1, mu2, freeze_rate, k)))
     assert mean >= bound * (1.0 - 1e-9)
+
+
+def _chain_means(p):
+    chain = build_fp_model(p)
+    return aoi_mean(chain), paoi_mean(chain), absorption_probability(chain, 0)
+
+
+@given(mu1=st.floats(min_value=0.1, max_value=10.0),
+       log_ratio=st.floats(min_value=-3.0, max_value=0.0),
+       log_rate=st.floats(min_value=-2.0, max_value=2.0),
+       k=st.integers(min_value=1, max_value=200))
+def test_freeze_level_means_match_the_chain(mu1, log_ratio, log_rate, k):
+    # mu2/mu1 in [1e-3, 1] and lambda/mu1 in [1e-2, 1e2]
+    p = FpParams(mu1, mu1 * 10.0 ** log_ratio, mu1 * 10.0 ** log_rate, k)
+    np.testing.assert_allclose(fp_means(p), _chain_means(p), rtol=1e-12, atol=0)
+
+
+scales = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@given(mu1=rates, mu2=rates, freeze_rate=rates, k=st.sampled_from([1, 7, 50, math.inf]),
+       c=scales)
+def test_freeze_level_means_are_scale_covariant(mu1, mu2, freeze_rate, k, c):
+    # every rate times c: both means divided by c, P(success) unchanged
+    base = fp_means(FpParams(mu1, mu2, freeze_rate, k))
+    scaled = fp_means(FpParams(c * mu1, c * mu2, c * freeze_rate, k))
+    np.testing.assert_allclose(
+        (c * scaled.mean_aoi, c * scaled.mean_paoi, scaled.p_success), base,
+        rtol=1e-12, atol=0)
+
+
+@given(mu1=rates, mu2=rates, freeze_rate=rates, k=st.integers(min_value=1, max_value=50),
+       c=scales)
+def test_chain_means_are_scale_covariant(mu1, mu2, freeze_rate, k, c):
+    base = _chain_means(FpParams(mu1, mu2, freeze_rate, k))
+    aoi, paoi, ok = _chain_means(FpParams(c * mu1, c * mu2, c * freeze_rate, k))
+    np.testing.assert_allclose((c * aoi, c * paoi, ok), base, rtol=1e-12, atol=0)

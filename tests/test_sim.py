@@ -18,6 +18,7 @@ from aoidual import (
     build_fp_model,
     empirical_aoi_cdf,
     empirical_vs_analytic,
+    fp_means,
     ks_against_table,
     ks_distance,
     simulate,
@@ -184,6 +185,22 @@ class TestFreezePreempt:
         simulated = n / sum(res.stats["entry_counts"])
         exact = absorption_probability(chain, 0)
         assert abs(simulated - exact) <= 5.0 / math.sqrt(n)
+
+
+    @pytest.mark.parametrize("point", [(0.5, 0.1, 1.0), (1.0, 1.0, 3.4), (1.0, 0.01, 0.2)])
+    def test_deterministic_freeze_matches_the_freeze_level_means(self, point):
+        # k = inf: every freeze lasts exactly 1/lambda, drawn from no stream
+        p = FpParams(*point, math.inf)
+        freezes = sim._fp_block(sim._rep_rng(0, 0), p)[0]
+        assert np.all(freezes == 1.0 / p.freeze_rate)
+        n = 200_000
+        res = simulate(SimConfig(p, FP, horizon=n, seed=47, replications=1),
+                       keep_samples=False)
+        exact, tol = fp_means(p), 10.0 / math.sqrt(n)
+        assert res.config["k"] == "inf"
+        assert res.mean_aoi == pytest.approx(exact.mean_aoi, rel=tol)
+        assert res.mean_paoi == pytest.approx(exact.mean_paoi, rel=tol)
+        assert n / sum(res.stats["entry_counts"]) == pytest.approx(exact.p_success, abs=tol)
 
 
 class _OldLoop:
@@ -444,6 +461,10 @@ class TestKsMachinery:
         with pytest.warns(UserWarning, match="mu2"):
             ks = empirical_vs_analytic(cfg, table)
         assert ks > 0.01
+        # a deterministic freeze, "k": "inf", against a finite-k table
+        cfg = SimConfig(FpParams(0.5, 0.2, 1.0, math.inf), FP, horizon=5_000, seed=1)
+        with pytest.warns(UserWarning, match="k=inf"):
+            empirical_vs_analytic(cfg, table)
 
     def test_preempt_only_table_matches_config(self):
         from aoidual import preempt_only_params
