@@ -2,14 +2,21 @@
 
 Every CSV gets a header row and floats are printed with 12 significant
 digits so analytic outputs are value-identical across runs. A CSV is
-written from its columns; JSON is strict, compact and key-sorted.
+written from its columns; JSON is strict, compact and key-sorted, and
+writes a result dataclass, nested ones too, as its fields but the
+``NOT_JSON`` ones (arrays that go to CSV).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from types import MappingProxyType
 
 import numpy as np
+
+#: Field metadata that keeps a result field out of its JSON file.
+NOT_JSON = MappingProxyType({"json": False})
 
 
 def fmt(value) -> str:
@@ -48,18 +55,22 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def _jsonable(obj):
+    """``obj`` in JSON types; a dataclass is the dict of its fields but the ``NOT_JSON`` ones."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
     if isinstance(obj, float):
         return obj if np.isfinite(obj) else None
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, MappingProxyType)):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)
+                if f.metadata.get("json", True)}
     return obj
 
 
-def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as strict JSON: compact, keys sorted, non-finite as null."""
+def write_json(path, result) -> None:
+    """Write ``result`` as strict JSON: compact, keys sorted, non-finite as null."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False) + "\n")
+        fh.write(json.dumps(_jsonable(result), sort_keys=True, allow_nan=False) + "\n")

@@ -105,9 +105,12 @@ def cmd_analyze(args):
             files, f"mean_aoi={summary.mean_aoi:.12g} mean_paoi={summary.mean_paoi:.12g}")
 
 
+#: ``simulate``'s run flags and config fields, and the SimConfig fields they set.
+_RUN_FIELDS = {"cycles": "horizon", "warmup": "warmup", "seed": "seed", "reps": "replications"}
+
+
 def _sim_config_from_args(args) -> SimConfig:
-    flags = {**_flag_values(args), "cycles": args.cycles, "warmup": args.warmup,
-             "seed": args.seed, "reps": args.reps}
+    flags = {**_flag_values(args), **{name: getattr(args, name) for name in _RUN_FIELDS}}
     given = {name: value for name, value in flags.items() if value is not None}
     if args.config:
         if given:
@@ -124,20 +127,12 @@ def _sim_config_from_args(args) -> SimConfig:
         if unknown:
             raise UsageError(f"unknown config field(s) {unknown}; expected {list(flags)}")
         where = "config field '{}'"
-    else:  # a flag left out takes the default below, as a config field left out does
+    else:
         raw, where = {"policy": ZW, **given}, "--{}"
-
-    def field(name, default):
-        value = raw.get(name, default)
-        if value is None and default is None:
-            return None
-        return _number(value, name, where)
-
-    return SimConfig(_model_params(raw, where), raw["policy"],
-                     horizon=field("cycles", 1_000_000),
-                     warmup=field("warmup", None),
-                     seed=field("seed", 0),
-                     replications=field("reps", 2))
+    # a run field left out takes SimConfig's default, and so does a null warmup
+    run = {attr: _number(raw[name], name, where) for name, attr in _RUN_FIELDS.items()
+           if name in raw and not (name == "warmup" and raw[name] is None)}
+    return SimConfig(_model_params(raw, where), raw["policy"], **run)
 
 
 def cmd_simulate(args):

@@ -30,8 +30,8 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
-from .phasetype import (_LOST, _OK, AbsorbingChain, _erlang_order, _rule_chain, _StateIndex,
-                        _triplets)
+from .phasetype import (_LOST, _OK, AbsorbingChain, _ordered_rates, _rate, _rule_chain,
+                        _StateIndex, _triplets, _whole)
 
 #: The freeze/preempt rules: ``family: (exit, {server: destination})``.
 #: A completion at server 1 (rate ``mu1``) or 2 (``mu2``) moves the chain
@@ -84,18 +84,9 @@ class FpParams:
     swapped: bool = False
 
     def __post_init__(self):
-        if not (0 < self.mu1 < np.inf and 0 < self.mu2 < np.inf):
-            raise ValueError("service rates must be positive and finite")
-        if not self.freeze_rate > 0:
-            raise ValueError("freeze_rate must be positive")
-        object.__setattr__(self, "k", _erlang_order(self.k, infinite=True))
-        fast, slow = float(self.mu1), float(self.mu2)
-        if fast < slow:
-            fast, slow = slow, fast
-            object.__setattr__(self, "swapped", True)
-        object.__setattr__(self, "mu1", fast)
-        object.__setattr__(self, "mu2", slow)
-        object.__setattr__(self, "freeze_rate", float(self.freeze_rate))
+        _ordered_rates(self)
+        object.__setattr__(self, "freeze_rate", _rate(self.freeze_rate, "freeze_rate", True))
+        object.__setattr__(self, "k", _whole(self.k, "Erlang order k", infinite=True))
 
     @property
     def policy(self) -> str:

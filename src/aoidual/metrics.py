@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _io
-from .phasetype import AbsorbingChain, _Law, absorption_probability, expm_action_grid
+from .phasetype import AbsorbingChain, _Law, _rate, absorption_probability, expm_action_grid
 
 
 #: First nonzero grid point, as a multiple of the mean.
@@ -45,20 +45,18 @@ class GridSpec:
             raise ValueError(f"need max_mult > {MIN_MULT}")
 
     def build(self, mean: float) -> np.ndarray:
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        body = np.geomspace(MIN_MULT * mean, self.max_mult * mean,
-                            self.points)
+        mean = _rate(mean, "mean")
+        body = np.geomspace(MIN_MULT * mean, self.max_mult * mean, self.points)
         return np.concatenate(([0.0], body))
 
 
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Tabulated pdf/cdf on a grid, with the first two moments."""
+    """Tabulated pdf/cdf on a grid (CSV only), with the first two moments."""
 
-    grid: np.ndarray
-    pdf: np.ndarray
-    cdf: np.ndarray
+    grid: np.ndarray = field(metadata=_io.NOT_JSON)
+    pdf: np.ndarray = field(metadata=_io.NOT_JSON)
+    cdf: np.ndarray = field(metadata=_io.NOT_JSON)
     mean: float
     second_moment: float
     variance: float
@@ -85,11 +83,6 @@ class DistributionTable:
     def to_csv(self, path) -> None:
         _io.write_csv(path, ["x", "pdf", "cdf"], (self.grid, self.pdf, self.cdf))
 
-    def payload(self) -> dict:
-        """Moments and ``meta``; the arrays go to :meth:`to_csv` only."""
-        return {"mean": self.mean, "second_moment": self.second_moment,
-                "variance": self.variance, "meta": dict(self.meta)}
-
 
 @dataclass(frozen=True, eq=False)
 class AoiSummary:
@@ -112,20 +105,8 @@ class AoiSummary:
             raise ValueError("p_success must lie in (0, 1]")
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
-    def payload(self) -> dict:
-        return {
-            "mean_aoi": self.mean_aoi,
-            "mean_paoi": self.mean_paoi,
-            "aoi_moments": list(self.aoi_moments),
-            "paoi_moments": list(self.paoi_moments),
-            "p_success": self.p_success,
-            "aoi_table": self.aoi_table.payload(),
-            "paoi_table": self.paoi_table.payload(),
-            "meta": dict(self.meta),
-        }
-
     def to_json(self, path) -> None:
-        _io.write_json(path, self.payload())
+        _io.write_json(path, self)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ nonsingular) started from an initial probability vector ``sigma``, so it
 is held as an :class:`AbsorbingChain` like every policy model. This
 module holds the numerics they all build on: the chain, its assembly
 from a policy's rule table, absorption probabilities, the action of the
-matrix exponential by uniformization, and the one law whose densities,
-cdfs and non-central moments ``metrics`` evaluates.
+matrix exponential by uniformization, the one law whose densities,
+cdfs and non-central moments ``metrics`` evaluates, and the one check of
+every count (``_whole``) and rate (``_rate``) the package is given.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -21,6 +22,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import ceil, exp, factorial, inf, isfinite, lgamma, log, log2
 from numbers import Real
+from sys import float_info
 from types import MappingProxyType
 from typing import Mapping
 
@@ -91,13 +93,38 @@ def _factored(S):
         raise ValueError("S is singular: not all states are transient") from err
 
 
-def _erlang_order(k, infinite: bool = False):
-    """``k`` as a positive int, or ``inf`` (deterministic) where ``infinite`` allows it."""
-    if infinite and k == inf:
-        return inf
-    if not (isinstance(k, Real) and isfinite(k) and k >= 1 and int(k) == k):
-        raise ValueError(f"Erlang order k must be a positive integer{' or inf' * infinite}: {k!r}")
-    return int(k)
+def _real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool."""
+    return type(value) in (int, float) or (isinstance(value, Real) and not isinstance(value, bool))
+
+
+def _whole(value, name: str, low: int = 1, infinite: bool = False):
+    """Whole ``value >= low`` as an int, ``inf`` where ``infinite`` allows; else a ValueError."""
+    if _real(value) and value >= low:
+        if type(value) is int or (isfinite(value) and int(value) == value):
+            return int(value)
+        if infinite and value == inf:
+            return inf
+    raise ValueError(f"{name} must be a whole number of at least {low}"
+                     f"{' or inf' * infinite}, got {value!r}")
+
+
+def _rate(value, name: str, infinite: bool = False) -> float:
+    """Positive ``value`` as a float, ``inf`` where ``infinite`` allows; else a ValueError."""
+    if _real(value) and value > 0:
+        rate = inf if value > float_info.max else float(value)  # a huge int too
+        if infinite or rate < inf:
+            return rate
+    raise ValueError(f"{name} must be a positive{'' if infinite else ' finite'} number, "
+                     f"got {value!r}")
+
+
+def _ordered_rates(params) -> None:
+    """Check and store a parameter set's service rates, swapped into ``mu1 >= mu2``."""
+    mu1, mu2 = _rate(params.mu1, "mu1"), _rate(params.mu2, "mu2")
+    object.__setattr__(params, "swapped", params.swapped or mu1 < mu2)
+    object.__setattr__(params, "mu1", max(mu1, mu2))
+    object.__setattr__(params, "mu2", min(mu1, mu2))
 
 
 def _checked_init(init, n: int) -> np.ndarray:
@@ -232,7 +259,7 @@ class _StateIndex:
     """
 
     def __init__(self, k: int, families, phased):
-        self.k = _erlang_order(k)
+        self.k = _whole(k, "Erlang order k")
         self.phased = frozenset(phased)
         families = tuple(families)
         sizes = [self.k if fam in self.phased else 1 for fam in families]
@@ -591,9 +618,7 @@ class _Law:
         return out
 
     def moment(self, i: int) -> float:
-        if int(i) != i or i < 1:
-            raise ValueError("moment order must be a positive integer")
-        return self.moments(int(i))[-1]
+        return self.moments(_whole(i, "moment order"))[-1]
 
 
 def absorption_probability(chain: AbsorbingChain, m: int) -> float:
@@ -624,10 +649,8 @@ def erlang_ph(rate: float, k: int) -> AbsorbingChain:
     ``k * rate``; the variance is ``1 / (k * rate**2)``, so large ``k``
     approximates a deterministic duration.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    k = _erlang_order(k)
-    step = k * rate
+    k = _whole(k, "Erlang order k")
+    step = k * _rate(rate, "rate")
     S = np.diag(np.full(k, -step))
     if k > 1:
         S += np.diag(np.full(k - 1, step), k=1)

@@ -33,7 +33,7 @@ and marks in blocks of ``horizon`` events, freeze/preempt its gamma freezes
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import inf, nan, sqrt
 from operator import add
@@ -45,6 +45,7 @@ import numpy as np
 from . import _io
 from .fp import FpParams, preempt_only_params
 from .metrics import DistributionTable
+from .phasetype import _whole
 from .zw import ZwParams
 
 ZW = "zw"
@@ -82,24 +83,14 @@ class SimConfig:
         if FP_PREEMPT_ONLY in (self.policy, p.policy):
             object.__setattr__(self, "params", preempt_only_params(p.mu1, p.mu2))
         object.__setattr__(self, "policy", self.params.policy)
-        if int(self.horizon) != self.horizon or self.horizon < 1000:
-            raise ValueError("horizon must be an integer of at least 1000")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        warmup = self.warmup
-        if warmup is None:
-            warmup = self.horizon // 100
-        if int(warmup) != warmup or warmup < 0:
-            raise ValueError("warmup must be a nonnegative integer")
-        warmup = int(warmup)
-        if warmup >= self.horizon - 1:
+        horizon = _whole(self.horizon, "horizon", low=1000)
+        warmup = horizon // 100 if self.warmup is None else _whole(self.warmup, "warmup", low=0)
+        if warmup >= horizon - 1:
             raise ValueError("warmup must leave at least one measured cycle")
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "warmup", warmup)
-        if int(self.replications) != self.replications or self.replications < 1:
-            raise ValueError("replications must be a positive integer")
-        object.__setattr__(self, "replications", int(self.replications))
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "replications", _whole(self.replications, "replications"))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", low=0))
 
     def describe(self) -> dict:
         """The model fields of ``params.meta()`` and the run fields."""
@@ -124,8 +115,8 @@ class SimResult:
     Point estimates are unweighted means of the per-replication means;
     standard errors are computed across replications and are NaN for a
     single replication. The pooled per-cycle records are kept in
-    ``samples`` when requested; :meth:`ecdf` computes an empirical cdf
-    from them on demand and :meth:`cdf_to_csv` writes it.
+    ``samples`` when requested (not in JSON); :meth:`ecdf` computes an
+    empirical cdf from them on demand and :meth:`cdf_to_csv` writes it.
     """
 
     mean_aoi: float
@@ -137,24 +128,14 @@ class SimResult:
     cycle_count: int
     config: Mapping
     stats: Mapping
-    samples: SampleSet | None = None
+    samples: SampleSet | None = field(default=None, metadata=_io.NOT_JSON)
 
     def __post_init__(self):
         object.__setattr__(self, "config", MappingProxyType(dict(self.config)))
         object.__setattr__(self, "stats", MappingProxyType(dict(self.stats)))
 
-    def payload(self) -> dict:
-        return {
-            "mean_aoi": self.mean_aoi, "mean_paoi": self.mean_paoi,
-            "se_aoi": self.se_aoi, "se_paoi": self.se_paoi,
-            "rep_mean_aoi": self.rep_mean_aoi,
-            "rep_mean_paoi": self.rep_mean_paoi,
-            "cycle_count": self.cycle_count,
-            "config": dict(self.config), "stats": dict(self.stats),
-        }
-
     def to_json(self, path) -> None:
-        _io.write_json(path, self.payload())
+        _io.write_json(path, self)
 
     def ecdf(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Empirical cdf ``(x, cdf)`` of ``kind`` at ``CDF_POINTS`` quantiles."""
@@ -438,8 +419,7 @@ def ks_distance(x1, cdf1, x2, cdf2) -> float:
     return float(np.max(np.abs(f1 - f2)))
 
 
-def ks_against_table(result: SimResult, table: DistributionTable,
-                     kind: str | None = None) -> float:
+def ks_against_table(result: SimResult, table: DistributionTable) -> float:
     """Exact sup distance between a simulated and an analytic cdf.
 
     For peaks, the empirical cdf is a step function and both sides of
@@ -447,8 +427,7 @@ def ks_against_table(result: SimResult, table: DistributionTable,
     cdf is piecewise linear and both curves are compared on the union of
     their breakpoints. The analytic cdf is interpolated from its table.
     """
-    if kind is None:
-        kind = table.meta.get("kind")
+    kind = table.meta.get("kind")
     s = _samples(result, kind)
     if kind == "paoi":
         peaks = np.sort(s.peak)
@@ -467,8 +446,7 @@ def ks_against_table(result: SimResult, table: DistributionTable,
     return float(np.max(np.abs(fe - fa)))
 
 
-def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable,
-                          kind: str | None = None) -> float:
+def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable) -> float:
     """Simulate ``cfg`` and measure the sup distance to an analytic cdf.
 
     Every field of ``cfg.describe()`` that the table's metadata also
@@ -483,4 +461,4 @@ def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable,
             warnings.warn(f"configured {key}={b} does not match analytic table ({a})",
                           stacklevel=2)
     result = simulate(cfg, keep_samples=True)
-    return ks_against_table(result, table, kind)
+    return ks_against_table(result, table)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .phasetype import _LOST, _OK, AbsorbingChain, _rule_chain, _StateIndex
+from .phasetype import _LOST, _OK, AbsorbingChain, _ordered_rates, _rule_chain, _StateIndex
 
 #: Transient states whose occupancy overlaps the age sawtooth: the tagged
 #: packet has been delivered and the chain is waiting for its successor.
@@ -54,14 +54,7 @@ class ZwParams:
     policy = "zw"
 
     def __post_init__(self):
-        if not (0 < self.mu1 < np.inf and 0 < self.mu2 < np.inf):
-            raise ValueError("service rates must be positive and finite")
-        fast, slow = float(self.mu1), float(self.mu2)
-        if fast < slow:
-            fast, slow = slow, fast
-            object.__setattr__(self, "swapped", True)
-        object.__setattr__(self, "mu1", fast)
-        object.__setattr__(self, "mu2", slow)
+        _ordered_rates(self)
 
     def meta(self) -> dict:
         return {"policy": self.policy, "mu1": self.mu1, "mu2": self.mu2,

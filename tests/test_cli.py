@@ -279,6 +279,27 @@ class TestSimulate:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text", ["1e999", "NaN"])
+    @pytest.mark.parametrize("field,param", [("cycles", "horizon"), ("warmup", "warmup"),
+                                             ("seed", "seed"), ("reps", "replications")])
+    def test_config_count_that_is_no_count_exits_two(self, tmp_path, capsys, field, param,
+                                                     text):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"policy": "zw", "mu1": 1.0, "mu2": 0.1, "cycles": 2000, '
+                            f'"{field}": {text}}}')
+        assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{param} must be a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_null_warmup_takes_the_default(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"policy": "zw", "mu1": 1.0, "mu2": 0.1,
+                                        "cycles": 2000, "reps": 1, "warmup": None}))
+        assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+        assert json.loads((tmp_path / "x" / "result.json").read_text())["config"] == {
+            "policy": "zw", "mu1": 1.0, "mu2": 0.1, "horizon": 2000, "warmup": 20, "seed": 0,
+            "replications": 1}
+
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     def test_infinite_rate_exits_two(self, tmp_path, capsys, command):
         argv = [command, "--policy", "zw", "--mu1", "inf", "--mu2", "1",

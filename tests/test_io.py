@@ -93,7 +93,7 @@ def test_summary_json_loads_as_the_indented_format(tmp_path):
     summary = k3_summary()
     summary.to_json(tmp_path / "summary.json")
     compact = (tmp_path / "summary.json").read_text()
-    payload = _io._jsonable(summary.payload())
+    payload = _io._jsonable(summary)
     indented = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert compact.endswith("\n") and "\n" not in compact[:-1]
     assert compact == json.dumps(json.loads(indented), sort_keys=True) + "\n"

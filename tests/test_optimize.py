@@ -103,6 +103,13 @@ class TestOptimizeFreeze:
         with pytest.raises(RuntimeError, match="cycle chain"):
             optimize_freeze(1.0, 0.5, 10)
 
+    def test_chain_check_allows_for_rounding_that_grows_with_k(self):
+        # the chain's mean age drifts by up to about 6e-17 k relative (2.1e-12 at
+        # k = 50000), while fp_means stays within 4.4e-16 of a 50-digit evaluation
+        result = optimize_freeze(0.5, 0.1, 50000)
+        p = FpParams(0.5, 0.1, result.lambda_star, 50000)
+        assert result.aoi_at_star == pytest.approx(fp_means(p).mean_aoi, rel=1e-11)
+
     def test_deterministic_freeze_builds_no_chain(self, monkeypatch):
         import aoidual.optimize as optimize_module
 

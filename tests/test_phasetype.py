@@ -1,6 +1,7 @@
 """Phase-type numerics against closed forms and independent oracles."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from aoidual import (
     AbsorbingChain,
     FpParams,
     GridSpec,
+    SimConfig,
     absorption_probability,
     aoi_cdf,
+    aoi_moment,
     aoi_pdf,
     build_fp_model,
     build_zw_amc,
@@ -534,6 +537,42 @@ class TestValidation:
             AbsorbingChain(S, V, np.array([1.0]), np.array([0.5]))
         with pytest.raises(ValueError):
             AbsorbingChain(S, V, np.array([1.0]), np.array([0.0]))
+
+
+def _refusals():
+    """(input, call with the value, name the error must give, value below the
+    minimum, is a count, takes inf) for every numeric input of the library."""
+    ph = erlang_ph(1.0, 2)
+    sim = partial(SimConfig, ZwParams(1.0, 1.0), "zw", horizon=1000)
+    return [
+        ("ZwParams.mu1", lambda v: ZwParams(v, 0.5), "mu1", 0.0, False, False),
+        ("ZwParams.mu2", lambda v: ZwParams(1.0, v), "mu2", -1.0, False, False),
+        ("FpParams.mu1", lambda v: FpParams(v, 0.5, 1.0, 2), "mu1", 0.0, False, False),
+        ("FpParams.mu2", lambda v: FpParams(1.0, v, 1.0, 2), "mu2", 0.0, False, False),
+        ("FpParams.freeze_rate", lambda v: FpParams(1.0, 0.5, v, 2), "freeze_rate", 0.0,
+         False, True),
+        ("FpParams.k", lambda v: FpParams(1.0, 0.5, 1.0, v), "Erlang order k", 0, True, True),
+        ("erlang_ph.rate", lambda v: erlang_ph(v, 2), "rate", 0.0, False, False),
+        ("erlang_ph.k", lambda v: erlang_ph(1.0, v), "Erlang order k", 0, True, False),
+        ("ph_moment", lambda v: ph_moment(ph, v), "moment order", 0, True, False),
+        ("aoi_moment", lambda v: aoi_moment(ph, v), "moment order", 0, True, False),
+        ("SimConfig.horizon", lambda v: sim(horizon=v), "horizon", 999, True, False),
+        ("SimConfig.warmup", lambda v: sim(warmup=v), "warmup", -1, True, False),
+        ("SimConfig.replications", lambda v: sim(replications=v), "replications", 0, True,
+         False),
+        ("SimConfig.seed", lambda v: sim(seed=v), "seed", -1, True, False),
+    ]
+
+
+@pytest.mark.parametrize("case", _refusals(), ids=lambda case: case[0])
+def test_every_numeric_input_refuses_with_a_value_error_naming_it(case):
+    _, call, name, below, count, takes_inf = case
+    bad = [math.nan, -math.inf, True, "1", below] + [math.inf] * (not takes_inf)
+    bad += [2.5] if count else [10 ** 400] * (not takes_inf)  # an int beyond any float
+    for value in bad:
+        # a ValueError that names the input; an OverflowError or TypeError fails the test
+        with pytest.raises(ValueError, match=name):
+            call(value)
 
 
 def test_dump_csv_writes_audit_files(tmp_path):
