@@ -12,8 +12,9 @@ The cycle between consecutive receptions is an absorbing chain over
 ``9k + 5`` transient states, built from one rule table (``_RULES``):
 nine state families carry the freeze phase ``1..k``, five singletons
 are not in freeze. Its initial vector is in closed form: the stationary
-law of the three cycle states a packet starts in, seen from one freeze
-start to the next. A recurrent chain over ``5k + 2`` states is an
+law of the three cycle states a packet starts in (``_ENTRY``), seen
+from one freeze start to the next, and the age mask selects the families
+``_AGE``. A recurrent chain over ``5k + 2`` states is an
 independent reference for it. The preemption-only limit (freezes of
 length zero) is the zero-freeze collapse of the rule table.
 :func:`fp_means` gets the means from the table at any ``k``, ``inf`` too.
@@ -60,7 +61,7 @@ _RULES = {
 #: Families a new packet starts in: the states A, B, C of :func:`_entry_chain`.
 _ENTRY = (1, 10, 6)
 
-#: Age families (the tagged packet delivered; contiguous), and the phased families.
+#: Age families (the tagged packet delivered), and the phased families.
 _AGE = (11, 12, 13, 14)
 _PHASED = tuple(fam for fam, (exit_, _) in _RULES.items() if exit_ is not None)
 
@@ -134,11 +135,7 @@ def fp_aoi_mask(k: int) -> np.ndarray:
     """Selector of the post-delivery states, where the cycle chain
     overlaps the age sawtooth: families (11,·), (12,·), (13,·) and state
     14 — ``3k + 1`` states in total."""
-    idx = FpStateIndex(k)
-    mask = np.zeros(idx.size)
-    mask[idx.first[_AGE[0]]:idx.first[_AGE[-1]] + 1] = 1.0
-    return mask
-
+    return FpStateIndex(k).mask(_AGE)
 
 
 def build_fp_amc(p: FpParams) -> AbsorbingChain:
@@ -148,8 +145,7 @@ def build_fp_amc(p: FpParams) -> AbsorbingChain:
     tagged packet preempted (failure). Use :func:`fp_initial_vector` to
     attach the initial distribution.
     """
-    return _rule_chain(FpStateIndex(p.k), _RULES, {1: p.mu1, 2: p.mu2},
-                       p.k * p.freeze_rate, None, fp_aoi_mask(p.k), p.meta())
+    return _rule_chain(FpStateIndex(p.k), _RULES, p, None, _AGE)
 
 
 def build_fp_rmc(p: FpParams) -> sparse.csr_array:
@@ -257,21 +253,17 @@ def _entry_chain(p: FpParams) -> np.ndarray:
     return np.array([[1 - ab, ab, 0], [1 - bc, 0, bc], [1 - cb, cb, 0]])
 
 
-def _entry_vector(p: FpParams, idx: _StateIndex, settle=lambda fam: fam) -> np.ndarray:
-    """The stationary law of :func:`_entry_chain` (one packet per freeze
-    start), ``(1 - P_BC P_CB, P_AB, P_AB P_BC)`` normalized, on the first
-    states of the ``_ENTRY`` families, each taken through ``settle``."""
+def _entry_law(p: FpParams) -> dict:
+    """The stationary law of :func:`_entry_chain` (one packet per freeze start) over
+    ``_ENTRY``, unnormalized: ``(1 - P_BC P_CB, P_AB, P_AB P_BC)``."""
     P = _entry_chain(p)
-    pi = np.array([1.0 - P[1, 2] * P[2, 1], P[0, 1], P[0, 1] * P[1, 2]])
-    init = np.zeros(idx.size)
-    init[[idx.first[settle(fam)] for fam in _ENTRY]] = pi / pi.sum()
-    return init
+    return dict(zip(_ENTRY, (1.0 - P[1, 2] * P[2, 1], P[0, 1], P[0, 1] * P[1, 2])))
 
 
 def fp_initial_vector(p: FpParams) -> np.ndarray:
     """Distribution of the cycle-chain state in which a new packet starts:
     the entry law on states (1,1), (10,1) and (6,1)."""
-    return _entry_vector(p, FpStateIndex(p.k))
+    return FpStateIndex(p.k).entry(_entry_law(p))
 
 
 def _settled(fam):
@@ -294,8 +286,8 @@ def _build_preempt_only(p: FpParams) -> AbsorbingChain:
     idx = _StateIndex(1, (5, 3, 9, 7, 14), ())
     rules = {fam: (None, {server: _settled(dst) for server, dst in _RULES[fam][1].items()})
              for fam in idx.first}
-    return _rule_chain(idx, rules, {1: p.mu1, 2: p.mu2}, 0.0, _entry_vector(p, idx, _settled),
-                       np.eye(5)[idx.first[14]], p.meta())
+    entry = {_settled(fam): w for fam, w in _entry_law(p).items()}
+    return _rule_chain(idx, rules, p, entry, map(_settled, _AGE))
 
 
 def build_fp_model(p: FpParams) -> AbsorbingChain:
@@ -323,7 +315,7 @@ _EPOCHS = _StateIndex(1, _PHASED + tuple(f for f in _RULES if f not in _PHASED),
 _MOVES = np.array([[[float(_RULES[f][1].get(server) == to) for to in (*_EPOCHS.first, _OK, _LOST)]
                     for f in _EPOCHS.first] for server in (1, 2)])
 _EXITS = np.array([[float(_RULES[f][0] == to) for to in _EPOCHS.first] for f in _PHASED])
-_AGE_EPOCHS = np.isin(list(_EPOCHS.first), _AGE).astype(float)
+_AGE_EPOCHS = _EPOCHS.mask(_AGE)
 
 
 def fp_means(p: FpParams) -> FpMeans:
@@ -362,6 +354,6 @@ def fp_means(p: FpParams) -> FpMeans:
     W0 = np.vstack((phi0 @ W[:n], W[n:] / q[n:, None]))
     W1 = np.vstack((phi1 @ W[:n], W[n:] / q[n:, None] ** 2))
     I_K0 = np.eye(_EPOCHS.size) - K0
-    visits = np.linalg.solve(I_K0.T, _entry_vector(p, _EPOCHS))
+    visits = np.linalg.solve(I_K0.T, _EPOCHS.entry(_entry_law(p)))
     (age0, ok0), (age1, ok1) = visits @ W0, visits @ W1 + visits @ K1 @ np.linalg.solve(I_K0, W0)
     return FpMeans(float(age1 / age0), float(ok1 / ok0), float(ok0))

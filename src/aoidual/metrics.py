@@ -41,6 +41,7 @@ class GridSpec:
         if not isinstance(self.points, Integral) or self.points < 2:
             raise ValueError("grid needs an integer number of points, at least two, "
                              f"got {self.points!r}")
+        object.__setattr__(self, "max_mult", _rate(self.max_mult, "max_mult"))
         if not self.max_mult > MIN_MULT:
             raise ValueError(f"need max_mult > {MIN_MULT}")
 

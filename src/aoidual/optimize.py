@@ -17,6 +17,7 @@ from math import inf, sqrt
 from . import _io
 from .fp import FpParams, build_fp_model, fp_means
 from .metrics import aoi_mean
+from .phasetype import _rate
 from .zw import ZwParams, zw_closed_form_means
 
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
@@ -98,40 +99,33 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
                     rtol: float = 1e-4) -> OptResult:
     """Find the freeze rate minimizing mean age for ``(mu1, mu2, k)``.
 
-    The objective is :func:`fp_means`'s mean age at each candidate rate
-    (cached per rate, since the search revisits points). If the
+    The objective is :func:`fp_means`'s mean age at each candidate rate.
+    The bracket ends and ``rtol`` must be positive finite numbers. If the
     minimizer lands within 5% of a bracket edge the bracket is expanded
     tenfold on that side and the search retried once; a persistent edge
     hit is reported in ``boundary_hit``. At a finite ``k``, ``aoi_at_star``
     is the cycle chain's mean age, and a RuntimeError is raised if it
     differs from the objective's by more than ``1e-12 + 2e-16 k`` relative.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi < inf:
-        raise ValueError("bracket must satisfy 0 < lo < hi, both finite")
-    if not 0 < rtol < 1:
+    lo, hi = _rate(bracket[0], "bracket low end"), _rate(bracket[1], "bracket high end")
+    if not lo < hi:
+        raise ValueError("bracket must satisfy lo < hi")
+    if not _rate(rtol, "rtol") < 1:
         raise ValueError("rtol must lie in (0, 1)")
-    cache: dict = {}
 
     def objective(rate: float) -> float:
-        if rate not in cache:
-            cache[rate] = fp_means(FpParams(mu1, mu2, rate, k)).mean_aoi
-        return cache[rate]
+        return fp_means(FpParams(mu1, mu2, rate, k)).mean_aoi
 
-    boundary_hit = False
+    evaluations = 0
     for attempt in range(2):
         x, f, evals = golden_section_min(objective, lo, hi, rtol=rtol)
+        evaluations += evals
         near_lo = x <= lo * (1.0 + _EDGE_FRACTION)
         near_hi = x >= hi / (1.0 + _EDGE_FRACTION)
-        if not (near_lo or near_hi):
-            boundary_hit = False
+        boundary_hit = near_lo or near_hi
+        if not boundary_hit or attempt:
             break
-        boundary_hit = True
-        if attempt == 0:
-            if near_lo:
-                lo = lo / 10.0
-            if near_hi:
-                hi = hi * 10.0
+        lo, hi = lo / 10.0 if near_lo else lo, hi * 10.0 if near_hi else hi
     if k != inf:
         chain = aoi_mean(build_fp_model(FpParams(mu1, mu2, x, k)))
         if not abs(chain - f) <= (1e-12 + 2e-16 * k) * chain:  # its rounding grows with k
@@ -141,5 +135,5 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
     return OptResult(
         lambda_star=x, f_star=1.0 / x, aoi_at_star=f, zw_aoi=zw_aoi,
         reduction_pct=100.0 * (zw_aoi - f) / zw_aoi,
-        bracket=(lo, hi), evaluations=len(cache),
+        bracket=(lo, hi), evaluations=evaluations,
         boundary_hit=boundary_hit)

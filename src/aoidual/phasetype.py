@@ -255,7 +255,8 @@ class _StateIndex:
     carry a freeze phase and take a contiguous block of ``k`` indices
     keyed ``(family, phase)``, the others one index keyed by the bare
     int. Indices are computed from ``first``, the index of each family's
-    first state, so a map costs ``O(families)`` at any ``k``.
+    first state, so a map costs ``O(families)`` at any ``k``, and so do
+    the vectors that :meth:`entry` and :meth:`mask` place by family.
     """
 
     def __init__(self, k: int, families, phased):
@@ -288,6 +289,19 @@ class _StateIndex:
         """JSON-friendly map from symbolic labels to dense indices."""
         return {f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s): idx
                 for idx, s in enumerate(self.states())}
+
+    def entry(self, weights: Mapping) -> np.ndarray:
+        """``weights``, ``family: weight``, normalized in order, on each family's first state."""
+        w, init = np.array(list(weights.values()), dtype=float), np.zeros(self.size)
+        init[[self.first[fam] for fam in weights]] = w / w.sum()
+        return init
+
+    def mask(self, families) -> np.ndarray:
+        """The 0/1 selector of every state of ``families``."""
+        mask = np.zeros(self.size)
+        for fam in families:
+            mask[self.first[fam]:self.first[fam] + (self.k if fam in self.phased else 1)] = 1.0
+        return mask
 
 
 def _triplets(idx: _StateIndex, rules: dict, rates: dict, step: float):
@@ -322,16 +336,20 @@ def _triplets(idx: _StateIndex, rules: dict, rates: dict, step: float):
             np.concatenate((vals, -np.bincount(rows, vals, minlength=idx.size))))
 
 
-def _rule_chain(idx: _StateIndex, rules: dict, rates: dict, step: float,
-                init, mask, meta) -> AbsorbingChain:
-    """The chain of a rule table: moves into ``_OK``/``_LOST`` fill ``V``, the rest ``S``."""
+def _rule_chain(idx: _StateIndex, rules: dict, p, entry, age) -> AbsorbingChain:
+    """The chain of a rule table at ``p``: servers 1 and 2 complete at ``p.mu1`` and
+    ``p.mu2``, a freeze phase ends at ``p.k * p.freeze_rate``; moves into ``_OK``/``_LOST``
+    fill ``V``, the rest ``S``. ``init`` is ``idx.entry(entry)`` (None while ``entry``
+    is), ``aoi_mask`` ``idx.mask(age)`` and ``meta`` ``p.meta()``."""
     n = idx.size
-    rows, cols, vals = _triplets(idx, rules, rates, step)
+    step = p.k * p.freeze_rate if idx.phased else 0.0
+    rows, cols, vals = _triplets(idx, rules, {1: p.mu1, 2: p.mu2}, step)
     into_S = cols < n
     V = np.zeros((n, 2))
     np.add.at(V, (rows[~into_S], cols[~into_S] - n), vals[~into_S])
     S = sparse.coo_array((vals[into_S], (rows[into_S], cols[into_S])), shape=(n, n))
-    return AbsorbingChain(S, V, init, mask, meta=meta)
+    init = None if entry is None else idx.entry(entry)
+    return AbsorbingChain(S, V, init, idx.mask(age), meta=p.meta())
 
 
 # ---------------------------------------------------------------------------

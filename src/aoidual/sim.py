@@ -320,10 +320,12 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
 
     Uses the exact piecewise-linear cycle geometry: a cycle starting at
     age ``u`` with length ``L`` spends ``clip(x - u, 0, L)`` time units
-    at or below ``x``.
+    at or below ``x``. Lengths must be nonnegative.
     """
     u = np.asarray(u, dtype=float)
     length = np.asarray(length, dtype=float)
+    if np.any(length < 0):
+        raise ValueError("cycle lengths must be nonnegative")
     xs = np.asarray(xs, dtype=float)
     peaks = u + length
     total = length.sum()
@@ -338,8 +340,10 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
 
 
 def empirical_paoi_cdf(peaks_sorted, xs) -> np.ndarray:
-    """Empirical cdf of the recorded peaks at each ``x``."""
+    """Empirical cdf of the recorded peaks, sorted ascending, at each ``x``."""
     peaks_sorted = np.asarray(peaks_sorted, dtype=float)
+    if np.any(peaks_sorted[1:] < peaks_sorted[:-1]):
+        raise ValueError("peaks_sorted must be sorted ascending")
     xs = np.asarray(xs, dtype=float)
     return np.searchsorted(peaks_sorted, xs, side="right") / peaks_sorted.shape[0]
 

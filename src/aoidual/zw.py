@@ -8,7 +8,8 @@ read from a rule table (``_RULES``) in the freeze/preempt format: 7
 transient states tracking the tagged packet and the staleness ordering
 of the two in-flight packets, all singletons (no freeze ever runs), and
 the absorbing columns of a successful next reception and of the tagged
-packet being discarded.
+packet being discarded. ``_ENTRY`` names the states a new packet starts
+in and ``_AGE`` those that overlap the age sawtooth.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .phasetype import _LOST, _OK, AbsorbingChain, _ordered_rates, _rule_chain, _StateIndex
-
-#: Transient states whose occupancy overlaps the age sawtooth: the tagged
-#: packet has been delivered and the chain is waiting for its successor.
-AOI_STATES = (4, 5, 6)  # zero-based indices of states 5, 6, 7
 
 #: The zero-wait rules, ``state: (None, {server: destination})`` as in
 #: ``fp._RULES``: a completion at server 1 (rate ``mu1``) or 2 (``mu2``)
@@ -37,6 +34,10 @@ _RULES = {
     # on server 2/1 stale
     5: (None, {1: _OK, 2: _OK}), 6: (None, {1: _OK, 2: 5}), 7: (None, {1: 5, 2: _OK}),
 }
+
+#: States a new packet starts in, on server 1 or 2 (weights ``mu1``, ``mu2``), and
+#: those overlapping the age sawtooth: the tagged packet delivered, its successor due.
+_ENTRY, _AGE = (1, 3), (5, 6, 7)
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,8 @@ def build_zw_amc(p: ZwParams) -> AbsorbingChain:
     packet discarded at the monitor. The initial vector places the tagged
     packet on server ``i`` with probability ``mu_i / (mu1 + mu2)``.
     """
-    a, b = p.mu1, p.mu2
-    init = np.array([a, 0, b, 0, 0, 0, 0]) / (a + b)
-    mask = np.zeros(7)
-    mask[list(AOI_STATES)] = 1.0
-    return _rule_chain(_StateIndex(1, _RULES, ()), _RULES, {1: a, 2: b}, 0.0, init, mask,
-                       p.meta())
+    return _rule_chain(_StateIndex(1, _RULES, ()), _RULES, p,
+                       dict(zip(_ENTRY, (p.mu1, p.mu2))), _AGE)
 
 
 def zw_explicit_inverse(p: ZwParams) -> np.ndarray:

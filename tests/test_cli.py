@@ -88,6 +88,11 @@ class TestAnalyze:
         assert run(["analyze", "--policy", "zw", "--mu1", "-1", "--mu2", "1",
                     "--out", str(tmp_path / "x")]) == 2
 
+    def test_infinite_grid_end_exits_two_naming_it(self, tmp_path, capsys):
+        assert run(["analyze", "--policy", "zw", "--mu1", "1", "--mu2", "1",
+                    "--grid-max", "inf", "--out", str(tmp_path / "x")]) == 2
+        assert "max_mult must be a positive finite number, got inf" in capsys.readouterr().err
+
     def test_truncated_kernel_exits_one(self, tmp_path, monkeypatch, capsys):
         # a Poisson window that drops more than EXPM_TAIL is a numerical
         # failure, not a silently truncated table

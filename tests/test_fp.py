@@ -323,6 +323,41 @@ class TestInitialVector:
         np.testing.assert_allclose(entry @ _entry_chain(p), entry, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(entry, rmc_entry_vector(p), rtol=0.0, atol=1e-13)
 
+    @staticmethod
+    def _hitting(S, src, dst):
+        """Probability that the chain started in ``src`` reaches ``dst``
+        before absorbing: one dense solve, with ``dst`` made absorbing."""
+        keep = np.arange(S.shape[0]) != dst
+        return np.linalg.solve(S[np.ix_(keep, keep)], -S[keep, dst])[src - (src > dst)]
+
+    def _entry_hits(self, p):
+        # the packet that starts next is the tagged packet's fresher neighbour:
+        # from A the tagged packet reaches (4,1) (a fresh packet on server 2,
+        # state B), from B (8,1) (on server 1, state C), from C (4,1)
+        S, idx = build_fp_amc(p).S, FpStateIndex(p.k)
+        return [self._hitting(S, idx.index(src), idx.index(dst))
+                for src, dst in (((1, 1), (4, 1)), ((10, 1), (8, 1)), ((6, 1), (4, 1)))]
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 50])
+    @pytest.mark.parametrize("mu1,mu2,lam", [(0.5, 0.1, 1.0), (1.0, 0.7, 3.0)])
+    def test_entry_chain_is_hitting_probabilities_of_the_cycle_chain(self, mu1, mu2, lam, k):
+        p = FpParams(mu1, mu2, lam, k)
+        P = _entry_chain(p)
+        np.testing.assert_allclose(self._entry_hits(p), [P[0, 1], P[1, 2], P[2, 1]],
+                                   rtol=0.0, atol=2e-15)
+
+    @pytest.mark.parametrize("k", [1, 3, 50, 200])
+    @pytest.mark.parametrize("mu1,mu2,lam", [(0.5, 0.1, 1.0), (1.0, 0.7, 3.0)])
+    def test_matches_the_stationary_law_of_the_hitting_probabilities(self, mu1, mu2, lam, k):
+        p = FpParams(mu1, mu2, lam, k)
+        ab, bc, cb = self._entry_hits(p)
+        P = np.array([[1 - ab, ab, 0], [1 - bc, 0, bc], [1 - cb, cb, 0]])
+        A = np.vstack(((P - np.eye(3)).T, np.ones(3)))
+        pi = np.linalg.lstsq(A, [0.0, 0.0, 0.0, 1.0], rcond=None)[0]
+        idx = FpStateIndex(k)
+        entry = fp_initial_vector(p)[[idx.index((1, 1)), idx.index((10, 1)), idx.index((6, 1))]]
+        np.testing.assert_allclose(entry, pi, rtol=0.0, atol=1e-13)
+
     def test_matches_entry_states_seen_in_simulation(self):
         # pooled entry fractions, with standard errors from the entry
         # chain's exact asymptotic variance pi_i (2 Z_ii - 1 - pi_i),

@@ -161,6 +161,11 @@ class TestSummarize:
         with pytest.raises(ValueError, match="integer"):
             GridSpec(points=points)
 
+    @pytest.mark.parametrize("max_mult", [True, np.inf, np.nan, "40"])
+    def test_grid_spec_rejects_a_max_mult_that_is_not_a_finite_number(self, max_mult):
+        with pytest.raises(ValueError, match="max_mult must be a positive finite number"):
+            GridSpec(points=50, max_mult=max_mult)
+
     def test_grid_spec_takes_numpy_integers(self):
         spec = GridSpec(points=np.int64(50))
         assert spec.points == 50

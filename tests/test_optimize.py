@@ -74,6 +74,31 @@ class TestOptimizeFreeze:
         assert result.boundary_hit
         assert result.bracket == (5.0, 100.0)  # expanded once and still low
 
+    @pytest.mark.parametrize("bracket,rtol,name", [
+        (("0.05", 100.0), 1e-4, "bracket low end"),
+        ((0.05, True), 1e-4, "bracket high end"),
+        ((0.05, math.inf), 1e-4, "bracket high end"),
+        ((0.05, 100.0), "1e-4", "rtol"),
+        ((0.05, 100.0), True, "rtol"),
+    ])
+    def test_bracket_and_rtol_are_positive_finite_numbers(self, bracket, rtol, name):
+        with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
+            optimize_freeze(1.0, 1.0, 1, bracket=bracket, rtol=rtol)
+
+    def test_bracket_and_rtol_keep_their_order_rules(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            optimize_freeze(1.0, 1.0, 1, bracket=(2.0, 1.0))
+        with pytest.raises(ValueError, match="rtol"):
+            optimize_freeze(1.0, 1.0, 1, rtol=1.0)
+
+    def test_evaluations_count_objective_calls(self, monkeypatch):
+        import aoidual.optimize as optimize_module
+
+        calls = []
+        monkeypatch.setattr(optimize_module, "fp_means", lambda p: calls.append(p) or fp_means(p))
+        result = optimize_freeze(1.0, 1.0, 5, bracket=(50.0, 100.0))  # searched twice
+        assert result.evaluations == len(calls)
+
     def test_optimum_beats_zero_wait(self):
         for mu2, k in ((1.0, 1), (0.5, 10), (0.1, 50)):
             result = optimize_freeze(1.0, mu2, k)

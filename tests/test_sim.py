@@ -17,6 +17,7 @@ from aoidual import (
     ZwParams,
     build_fp_model,
     empirical_aoi_cdf,
+    empirical_paoi_cdf,
     empirical_vs_analytic,
     fp_means,
     ks_against_table,
@@ -435,6 +436,15 @@ class TestEmpiricalCdfs:
         brute = np.array([
             np.sum(np.clip(x - u, 0.0, length)) / length.sum() for x in xs])
         np.testing.assert_allclose(got, brute, atol=1e-12)
+
+    def test_paoi_cdf_refuses_unsorted_peaks(self):
+        assert empirical_paoi_cdf([1.0, 2.0, 3.0], [1.5]) == pytest.approx([1.0 / 3.0])
+        with pytest.raises(ValueError, match="sorted"):
+            empirical_paoi_cdf([3.0, 1.0, 2.0], [1.5])
+
+    def test_aoi_cdf_refuses_negative_lengths(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            empirical_aoi_cdf([0.0, 1.0], [1.0, -0.5], [0.5, 2.0])
 
     def test_cdf_outputs_monotone_in_unit_interval(self):
         cfg = SimConfig(ZwParams(1.0, 0.2), ZW, horizon=20_000, seed=3)
