@@ -111,16 +111,18 @@ def preempt_only_params(mu1: float, mu2: float) -> FpParams:
 class FpStateIndex(_StateIndex):
     """Index map of the cycle chain, ``9k + 5`` states.
 
-    Families are laid out in the order of ``_RULES``, the frozen ones as
-    contiguous phased blocks: (1,·), (2,·), 3, (4,·), 5, (6,·), 7, (8,·),
-    9, (10,·), (11,·), (12,·), (13,·), 14, so the ``k * freeze_rate``
-    phase ladders appear as superdiagonal runs in matrix dumps.
+    Families are laid out in the order a cycle visits them, a topological order of
+    the moves and exits of ``_RULES``, the frozen ones as contiguous phased blocks:
+    (6,·), (10,·), 5, (1,·), (2,·), 9, (4,·), (8,·), 3, 7, (11,·), (13,·), (12,·), 14.
+    A state leads only to the next phase or to a later family, so ``S`` is upper
+    triangular and its LU factor has no fill; the ``k * freeze_rate`` phase ladders
+    appear as superdiagonal runs in matrix dumps.
     """
 
     def __init__(self, k: int):
         if k == math.inf:
             raise ValueError("k = inf is not phase-type: use fp_means, as optimize does")
-        super().__init__(k, _RULES, _PHASED)
+        super().__init__(k, (6, 10, 5, 1, 2, 9, 4, 8, 3, 7, 11, 13, 12, 14), _PHASED)
 
 
 class RmcStateIndex(_StateIndex):
@@ -273,21 +275,23 @@ def _settled(fam):
     return fam if exit_ is None else _settled(exit_)
 
 
+#: The zero-freeze collapse of ``_RULES``: each phased family goes straight on to its exit
+#: (:func:`_settled`), which leaves singletons 5, 3, 9, 7 and 14, in visiting order.
+_COLLAPSE = _StateIndex(1, (5, 3, 9, 7, 14), ())
+_COLLAPSED = {fam: (None, {server: _settled(dst) for server, dst in _RULES[fam][1].items()})
+              for fam in _COLLAPSE.first}
+
+
 def _build_preempt_only(p: FpParams) -> AbsorbingChain:
     """Exact 5-state chain of the preemption-only limit: the zero-freeze
-    collapse of the rule table.
+    collapse of the rule table (``_COLLAPSED``).
 
-    Each phased family goes straight on to its exit (:func:`_settled`),
-    which leaves singletons 5, 3, 9, 7 and 14, in that order. The initial
-    vector is the entry law at ``L = 1``, settled the same way: the odds
+    The initial vector is the entry law at ``L = 1``, settled the same way: the odds
     ``a(a+b) : a^2+ab+b^2 : (a+b)^2`` on states 5, 3 and 9. Mean age and
     mean peak age both equal ``(a + 2b)(2a + b) / (a + b)^3``.
     """
-    idx = _StateIndex(1, (5, 3, 9, 7, 14), ())
-    rules = {fam: (None, {server: _settled(dst) for server, dst in _RULES[fam][1].items()})
-             for fam in idx.first}
     entry = {_settled(fam): w for fam, w in _entry_law(p).items()}
-    return _rule_chain(idx, rules, p, entry, map(_settled, _AGE))
+    return _rule_chain(_COLLAPSE, _COLLAPSED, p, entry, map(_settled, _AGE))
 
 
 def build_fp_model(p: FpParams) -> AbsorbingChain:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import ceil, exp, factorial, inf, isfinite, lgamma, log, log2
 from numbers import Real
@@ -65,12 +65,16 @@ def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
 
 
 def _factored(S):
-    """CSC copy of a sub-generator block, dense or sparse, and its sparse LU
-    factor, validated on the stored entries: nonnegative off-diagonal
-    rates, nonpositive diagonal and row sums, every state transient."""
+    """CSC form of a sub-generator block, dense or sparse, its sparse LU factor,
+    diagonal and row sums, validated on the stored entries: nonnegative off-diagonal
+    rates, nonpositive diagonal and row sums, every state transient. Its arrays are
+    read-only, shared where they already were (a cached structure), else copied. An
+    upper triangular block factors in its own order, without fill; others by COLAMD."""
     if sparse.issparse(S):
-        Q = sparse.csc_array(S, dtype=float, copy=True)
-        Q.sum_duplicates()
+        Q = sparse.csc_array(S, dtype=float)
+        if not Q.has_canonical_format:
+            Q = Q.copy()
+            Q.sum_duplicates()
         if not np.all(np.isfinite(Q.data)):
             raise ValueError("S contains non-finite entries")
     else:
@@ -78,17 +82,24 @@ def _factored(S):
     n = Q.shape[0]
     if Q.shape != (n, n):
         raise ValueError("S must be square")
+    Q.data, Q.indices, Q.indptr = (a.copy() if a.flags.writeable else a
+                                   for a in (Q.data, Q.indices, Q.indptr))
+    for a in (Q.data, Q.indices, Q.indptr):
+        a.flags.writeable = False
     cols = np.repeat(np.arange(n), np.diff(Q.indptr))
-    if np.any(Q.data[Q.indices != cols] < 0):
+    on_diag = Q.indices == cols
+    if np.any(Q.data[~on_diag] < 0):
         raise ValueError("S has negative off-diagonal entries")
-    diag = Q.diagonal()
+    diag = np.bincount(Q.indices[on_diag], Q.data[on_diag], minlength=n)
     if np.any(diag > 0):
         raise ValueError("S has positive diagonal entries")
     row_sums = np.bincount(Q.indices, Q.data, minlength=n)
     if np.any(row_sums > STRUCT_TOL * np.maximum(1.0, np.abs(diag))):
         raise ValueError("S has rows summing to more than zero")
+    upper = np.all(Q.indices <= cols)
+    order = {"permc_spec": "NATURAL", "relax": 1, "panel_size": 1} if upper else {}
     try:
-        return Q, splu(Q)
+        return Q, splu(Q, **order), diag, row_sums
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise ValueError("S is singular: not all states are transient") from err
 
@@ -162,7 +173,7 @@ class AbsorbingChain:
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        S_csc, lu = _factored(self.S_csc)
+        S_csc, lu, diag, row_sums = _factored(self.S_csc)
         V = _as_float_array(self.V, "V", 2)
         mask = _as_float_array(self.aoi_mask, "aoi_mask", 1)
         n = S_csc.shape[0]
@@ -170,8 +181,8 @@ class AbsorbingChain:
             raise ValueError("V must have the same number of rows as S")
         if np.any(V < 0):
             raise ValueError("V has negative entries")
-        scale = np.maximum(1.0, np.abs(S_csc.diagonal()))
-        resid = np.abs(S_csc.sum(axis=1) + V.sum(axis=1))
+        scale = np.maximum(1.0, np.abs(diag))
+        resid = np.abs(row_sums + V.sum(axis=1))
         if np.any(resid > STRUCT_TOL * scale):
             raise ValueError("rows of [S V] do not sum to zero")
         if mask.shape != (n,) or np.any((mask != 0) & (mask != 1)):
@@ -336,20 +347,45 @@ def _triplets(idx: _StateIndex, rules: dict, rates: dict, step: float):
             np.concatenate((vals, -np.bincount(rows, vals, minlength=idx.size))))
 
 
+@lru_cache(maxsize=4)
+def _structure(table: tuple, k: int, families: tuple, phased: frozenset):
+    """The read-only CSC ``indptr`` and ``indices`` of a rule table's ``S`` at Erlang
+    order ``k``, the positions in ``V.ravel()`` of ``V``'s entries, which follow ``S``'s,
+    and the coefficients of ``mu1``, ``mu2`` and the freeze step in every entry.
+    ``table`` is the rule table as ``(family, exit, moves)`` tuples."""
+    idx = _StateIndex(k, families, phased)
+    rules = {fam: (exit_, dict(moves)) for fam, exit_, moves in table}
+    units = ({1: 1.0, 2: 0.0}, 0.0), ({1: 0.0, 2: 1.0}, 0.0), ({1: 0.0, 2: 0.0}, 1.0)
+    triplets = [_triplets(idx, rules, *unit) for unit in units]
+    rows, cols, _ = triplets[0]
+    n = idx.size  # S's entries keyed in column-major order, then V's by flat position
+    keys, at = np.unique(np.where(cols < n, cols * n + rows, n * n + 2 * rows + cols - n),
+                         return_inverse=True)
+    nnz = int(np.searchsorted(keys, n * n))
+    out = (np.searchsorted(keys[:nnz] // n, np.arange(n + 1)).astype(np.intc),
+           (keys[:nnz] % n).astype(np.intc), keys[nnz:] - n * n,
+           np.array([np.bincount(at, vals, minlength=keys.size) for *_, vals in triplets]))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _rule_chain(idx: _StateIndex, rules: dict, p, entry, age) -> AbsorbingChain:
     """The chain of a rule table at ``p``: servers 1 and 2 complete at ``p.mu1`` and
     ``p.mu2``, a freeze phase ends at ``p.k * p.freeze_rate``; moves into ``_OK``/``_LOST``
     fill ``V``, the rest ``S``. ``init`` is ``idx.entry(entry)`` (None while ``entry``
-    is), ``aoi_mask`` ``idx.mask(age)`` and ``meta`` ``p.meta()``."""
-    n = idx.size
-    step = p.k * p.freeze_rate if idx.phased else 0.0
-    rows, cols, vals = _triplets(idx, rules, {1: p.mu1, 2: p.mu2}, step)
-    into_S = cols < n
-    V = np.zeros((n, 2))
-    np.add.at(V, (rows[~into_S], cols[~into_S] - n), vals[~into_S])
-    S = sparse.coo_array((vals[into_S], (rows[into_S], cols[into_S])), shape=(n, n))
+    is), ``aoi_mask`` ``idx.mask(age)`` and ``meta`` ``p.meta()``. A build only weighs
+    the rates: the structure is :func:`_structure`'s, cached per table and order."""
+    table = tuple((fam, exit_, tuple(moves.items())) for fam, (exit_, moves) in rules.items())
+    indptr, indices, at_V, coef = _structure(table, idx.k, tuple(idx.first), idx.phased)
+    n, nnz = idx.size, indices.size
+    data = np.array([p.mu1, p.mu2, p.k * p.freeze_rate if idx.phased else 0.0]) @ coef
+    data.flags.writeable = False
+    V = np.zeros(2 * n)
+    V[at_V] = data[nnz:]
+    S = sparse.csc_array((data[:nnz], indices, indptr), shape=(n, n))
     init = None if entry is None else idx.entry(entry)
-    return AbsorbingChain(S, V, init, idx.mask(age), meta=p.meta())
+    return AbsorbingChain(S, V.reshape(n, 2), init, idx.mask(age), meta=p.meta())
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +677,8 @@ class _Law:
 
 def absorption_probability(chain: AbsorbingChain, m: int) -> float:
     """Probability ``-init S^{-1} V[:, m]`` of absorbing in column ``m``."""
-    if not 0 <= m < chain.n_absorbing:
+    m = _whole(m, "absorbing column", low=0)
+    if m >= chain.n_absorbing:
         raise ValueError(f"absorbing column {m} out of range")
     init = chain.require_init()
     row = chain.solve_left(init)

@@ -320,7 +320,7 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
 
     Uses the exact piecewise-linear cycle geometry: a cycle starting at
     age ``u`` with length ``L`` spends ``clip(x - u, 0, L)`` time units
-    at or below ``x``. Lengths must be nonnegative.
+    at or below ``x``. Lengths must be nonnegative, with a positive total.
     """
     u = np.asarray(u, dtype=float)
     length = np.asarray(length, dtype=float)
@@ -329,6 +329,8 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     peaks = u + length
     total = length.sum()
+    if not total > 0:
+        raise ValueError("length must hold cycles of positive total length")
     us = np.sort(u)
     ps = np.sort(peaks)
     cum_u = np.concatenate(([0.0], np.cumsum(us)))
@@ -340,10 +342,12 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
 
 
 def empirical_paoi_cdf(peaks_sorted, xs) -> np.ndarray:
-    """Empirical cdf of the recorded peaks, sorted ascending, at each ``x``."""
+    """Empirical cdf of the recorded peaks, at least one, sorted ascending, at each ``x``."""
     peaks_sorted = np.asarray(peaks_sorted, dtype=float)
     if np.any(peaks_sorted[1:] < peaks_sorted[:-1]):
         raise ValueError("peaks_sorted must be sorted ascending")
+    if peaks_sorted.size == 0:
+        raise ValueError("peaks_sorted holds no peak")
     xs = np.asarray(xs, dtype=float)
     return np.searchsorted(peaks_sorted, xs, side="right") / peaks_sorted.shape[0]
 

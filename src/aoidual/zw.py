@@ -39,6 +39,9 @@ _RULES = {
 #: those overlapping the age sawtooth: the tagged packet delivered, its successor due.
 _ENTRY, _AGE = (1, 3), (5, 6, 7)
 
+#: The states as rows ``0..6``.
+_INDEX = _StateIndex(1, _RULES, ())
+
 
 @dataclass(frozen=True)
 class ZwParams:
@@ -75,8 +78,7 @@ def build_zw_amc(p: ZwParams) -> AbsorbingChain:
     packet discarded at the monitor. The initial vector places the tagged
     packet on server ``i`` with probability ``mu_i / (mu1 + mu2)``.
     """
-    return _rule_chain(_StateIndex(1, _RULES, ()), _RULES, p,
-                       dict(zip(_ENTRY, (p.mu1, p.mu2))), _AGE)
+    return _rule_chain(_INDEX, _RULES, p, dict(zip(_ENTRY, (p.mu1, p.mu2))), _AGE)
 
 
 def zw_explicit_inverse(p: ZwParams) -> np.ndarray:

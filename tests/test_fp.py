@@ -98,7 +98,7 @@ class TestStateIndex:
     def test_json_export(self):
         d = FpStateIndex(2).as_dict()
         payload = json.loads(json.dumps(d))
-        assert payload["1,1"] == 0
+        assert payload["6,1"] == 0  # visiting order
         assert payload["14"] == 9 * 2 + 4
         assert len(payload) == 9 * 2 + 5
 
@@ -413,9 +413,9 @@ class TestModelPipeline:
 
         factored = []
 
-        def counted(A):
+        def counted(A, **options):
             factored.append(A.shape)
-            return real(A)
+            return real(A, **options)
 
         real = phasetype_module.splu
         monkeypatch.setattr(fp_module, "build_fp_rmc", forbidden)
@@ -621,6 +621,74 @@ class TestSparseChain:
                 for k in (100, 200, 400, 800)]
         gaps = np.abs(np.diff(ages))
         assert np.all((1.95 <= gaps[:-1] / gaps[1:]) & (gaps[:-1] / gaps[1:] <= 2.05))
+
+
+def _triangular_and_fill_free(chain):
+    """Whether ``S`` is upper triangular and its LU factor has no fill."""
+    S = chain.S_csc
+    cols = np.repeat(np.arange(chain.order), np.diff(S.indptr))
+    return (bool(np.all(S.indices <= cols)),
+            chain._lu.L.nnz + chain._lu.U.nnz == S.nnz + chain.order)
+
+
+class TestCachedStructure:
+    """Chains weighed from a structure cached per table and order, in visiting order."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 50, 200])
+    def test_fp_chain_is_upper_triangular_without_fill(self, k):
+        assert _triangular_and_fill_free(build_fp_amc(FpParams(0.5, 0.1, 1.0, k))) == (True, True)
+
+    def test_collapse_is_upper_triangular_without_fill(self):
+        chain = build_fp_model(preempt_only_params(1.0, 0.3))
+        assert _triangular_and_fill_free(chain) == (True, True)
+
+    @pytest.mark.parametrize("build", ["fp1", "fp7", "fp50", "collapse", "zw"])
+    def test_build_matches_triplets_state_by_state(self, build):
+        from aoidual import fp
+        from aoidual.phasetype import _triplets
+
+        mu1, mu2 = 0.7, 0.2
+        if build.startswith("fp"):
+            p = FpParams(mu1, mu2, 3.0, int(build[2:]))
+            chain, idx, rules, step = build_fp_amc(p), FpStateIndex(p.k), _RULES, 3.0 * p.k
+        elif build == "collapse":
+            chain, idx, rules, step = (build_fp_model(preempt_only_params(mu1, mu2)),
+                                       fp._COLLAPSE, fp._COLLAPSED, 0.0)
+        else:
+            chain, idx, rules, step = (zw.build_zw_amc(zw.ZwParams(mu1, mu2)), zw._INDEX,
+                                       zw._RULES, 0.0)
+        rows, cols, vals = _triplets(idx, rules, {1: mu1, 2: mu2}, step)
+        n = idx.size
+        want = np.zeros((n, n + 2))
+        np.add.at(want, (rows, cols), vals)
+        off = ~np.eye(n, dtype=bool)
+        np.testing.assert_array_equal(chain.S[off], want[:, :n][off])
+        np.testing.assert_array_equal(chain.V, want[:, n:])
+        np.testing.assert_array_max_ulp(np.diag(chain.S), np.diag(want), maxulp=2)
+
+    def test_a_repeat_build_assembles_nothing(self, monkeypatch):
+        import scipy.sparse
+        import aoidual.phasetype as phasetype_module
+
+        calls = []
+        real = phasetype_module._triplets
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a build read S through scipy")
+
+        monkeypatch.setattr(phasetype_module, "_triplets", counted)
+        phasetype_module._structure.cache_clear()
+        build_fp_model(FpParams(0.5, 0.1, 1.0, 23))
+        assert calls  # the first build at this order fills the cache
+        calls.clear()
+        for name in ("diagonal", "sum"):
+            monkeypatch.setattr(scipy.sparse.csc_array, name, forbidden)
+        chain = build_fp_model(FpParams(2.0, 0.3, 5.0, 23))
+        assert calls == [] and chain.order == 9 * 23 + 5
 
 
 class TestStationaryDiagnostics:

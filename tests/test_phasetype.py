@@ -539,10 +539,29 @@ class TestValidation:
             AbsorbingChain(S, V, np.array([1.0]), np.array([0.0]))
 
 
+def test_chain_csc_arrays_are_read_only():
+    # the LU factor is taken once, so S must not change under it
+    user = scipy.sparse.csc_array(np.array([[-2.0, 1.0], [0.0, -1.0]]))
+    twice = scipy.sparse.csc_array(([-1.0, -1.0, 1.0, -1.0], [0, 0, 0, 1], [0, 2, 4]),
+                                   shape=(2, 2))  # S[0, 0] given as two entries
+    chains = [build_fp_model(FpParams(0.5, 0.1, 1.0, 3)), build_zw_amc(ZwParams(0.5, 0.1)),
+              exponential_ph(2.0)]
+    chains += [AbsorbingChain(S, [[1.0], [1.0]], [1.0, 0.0], [1.0, 1.0]) for S in (user, twice)]
+    for chain in chains:
+        for arr in (chain.S_csc.data, chain.S_csc.indices, chain.S_csc.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+    # a writeable block given by the caller is copied, not frozen, and summed in the copy
+    assert user.data.flags.writeable and chains[-2].S_csc.data is not user.data
+    np.testing.assert_array_equal(chains[-1].S, user.toarray())
+    assert twice.nnz == 4 and twice.data.flags.writeable
+
+
 def _refusals():
     """(input, call with the value, name the error must give, value below the
     minimum, is a count, takes inf) for every numeric input of the library."""
     ph = erlang_ph(1.0, 2)
+    chain = build_zw_amc(ZwParams(1.0, 0.5))
     sim = partial(SimConfig, ZwParams(1.0, 1.0), "zw", horizon=1000)
     return [
         ("ZwParams.mu1", lambda v: ZwParams(v, 0.5), "mu1", 0.0, False, False),
@@ -556,6 +575,8 @@ def _refusals():
         ("erlang_ph.k", lambda v: erlang_ph(1.0, v), "Erlang order k", 0, True, False),
         ("ph_moment", lambda v: ph_moment(ph, v), "moment order", 0, True, False),
         ("aoi_moment", lambda v: aoi_moment(ph, v), "moment order", 0, True, False),
+        ("absorption_probability.m", lambda v: absorption_probability(chain, v),
+         "absorbing column", -1, True, False),
         ("SimConfig.horizon", lambda v: sim(horizon=v), "horizon", 999, True, False),
         ("SimConfig.warmup", lambda v: sim(warmup=v), "warmup", -1, True, False),
         ("SimConfig.replications", lambda v: sim(replications=v), "replications", 0, True,

@@ -446,6 +446,14 @@ class TestEmpiricalCdfs:
         with pytest.raises(ValueError, match="nonnegative"):
             empirical_aoi_cdf([0.0, 1.0], [1.0, -0.5], [0.5, 2.0])
 
+    def test_cdfs_refuse_empty_samples(self):
+        # no time covered, no peak: a ValueError naming the argument, not a NaN
+        for u, length in (([0.0], [0.0]), ([], [])):
+            with pytest.raises(ValueError, match="length"):
+                empirical_aoi_cdf(u, length, [1.0])
+        with pytest.raises(ValueError, match="peaks_sorted"):
+            empirical_paoi_cdf([], [1.0])
+
     def test_cdf_outputs_monotone_in_unit_interval(self):
         cfg = SimConfig(ZwParams(1.0, 0.2), ZW, horizon=20_000, seed=3)
         res = simulate(cfg)
