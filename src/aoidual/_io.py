@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -30,21 +31,17 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _fields(column) -> list:
-    """CSV fields as :func:`fmt` prints them; a float array in one pass."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return list(map("%.12g".__mod__, column.tolist()))
-    return list(map(fmt, column))
-
-
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns of scalars under a header."""
-    fields = [_fields(c) for c in columns]
-    if len({len(f) for f in fields}) > 1:
+    """Write equal-length columns of scalars under a header in one format call:
+    a float array's values by ``%.12g``, any other column's by :func:`fmt`."""
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    columns = [c.tolist() if f else list(map(fmt, c)) for c, f in zip(columns, floats)]
+    if len({len(c) for c in columns}) > 1:
         raise ValueError("columns differ in length")
-    lines = [",".join(header)] + list(map(",".join, zip(*fields)))
+    row = ",".join("%.12g" if f else "%s" for f in floats) + "\n"
+    body = row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))) if columns else ""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def write_matrix_csv(path, matrix) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
 from .phasetype import (_LOST, _OK, AbsorbingChain, _ordered_rates, _rate, _rule_chain,
-                        _StateIndex, _triplets, _whole)
+                        _StateIndex, _table, _triplets, _whole)
 
 #: The freeze/preempt rules: ``family: (exit, {server: destination})``.
 #: A completion at server 1 (rate ``mu1``) or 2 (``mu2``) moves the chain
@@ -64,6 +65,8 @@ _ENTRY = (1, 10, 6)
 #: Age families (the tagged packet delivered), and the phased families.
 _AGE = (11, 12, 13, 14)
 _PHASED = tuple(fam for fam, (exit_, _) in _RULES.items() if exit_ is not None)
+_TABLE = _table(_RULES)  # the key of the cached chain structure
+_index = lru_cache(maxsize=4, typed=True)(lambda k: FpStateIndex(k))  # one index per order
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def fp_aoi_mask(k: int) -> np.ndarray:
     """Selector of the post-delivery states, where the cycle chain
     overlaps the age sawtooth: families (11,·), (12,·), (13,·) and state
     14 — ``3k + 1`` states in total."""
-    return FpStateIndex(k).mask(_AGE)
+    return _index(k).mask(_AGE)
 
 
 def build_fp_amc(p: FpParams) -> AbsorbingChain:
@@ -147,7 +150,7 @@ def build_fp_amc(p: FpParams) -> AbsorbingChain:
     tagged packet preempted (failure). Use :func:`fp_initial_vector` to
     attach the initial distribution.
     """
-    return _rule_chain(FpStateIndex(p.k), _RULES, p, None, _AGE)
+    return _rule_chain(_index(p.k), _TABLE, p, None, _AGE)
 
 
 def build_fp_rmc(p: FpParams) -> sparse.csr_array:
@@ -265,7 +268,7 @@ def _entry_law(p: FpParams) -> dict:
 def fp_initial_vector(p: FpParams) -> np.ndarray:
     """Distribution of the cycle-chain state in which a new packet starts:
     the entry law on states (1,1), (10,1) and (6,1)."""
-    return FpStateIndex(p.k).entry(_entry_law(p))
+    return _index(p.k).entry(_entry_law(p))
 
 
 def _settled(fam):
@@ -280,6 +283,7 @@ def _settled(fam):
 _COLLAPSE = _StateIndex(1, (5, 3, 9, 7, 14), ())
 _COLLAPSED = {fam: (None, {server: _settled(dst) for server, dst in _RULES[fam][1].items()})
               for fam in _COLLAPSE.first}
+_COLLAPSED_TABLE = _table(_COLLAPSED)
 
 
 def _build_preempt_only(p: FpParams) -> AbsorbingChain:
@@ -291,7 +295,7 @@ def _build_preempt_only(p: FpParams) -> AbsorbingChain:
     mean peak age both equal ``(a + 2b)(2a + b) / (a + b)^3``.
     """
     entry = {_settled(fam): w for fam, w in _entry_law(p).items()}
-    return _rule_chain(_COLLAPSE, _COLLAPSED, p, entry, map(_settled, _AGE))
+    return _rule_chain(_COLLAPSE, _COLLAPSED_TABLE, p, entry, map(_settled, _AGE))
 
 
 def build_fp_model(p: FpParams) -> AbsorbingChain:

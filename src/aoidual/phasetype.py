@@ -46,6 +46,9 @@ _MAX_STEP_MASS = 200.0
 #: Rows of the single-pass walk held and weighted at once.
 _BLOCK = 256
 
+#: Points weighted at once in a block: a 64 x 256 float64 tile of weights, 128 KB, stays in L2.
+_TILE = 64
+
 #: Costs deciding between a walk and squaring, in flops of a dense product
 #: at 40 GFlop/s (one BLAS thread): a walk step 1-2 us plus 2.1-2.4 ns per
 #: stored entry, a step-matrix term 2-5 us beyond its flops (orders 4-1805).
@@ -68,10 +71,12 @@ def _factored(S):
     """CSC form of a sub-generator block, dense or sparse, its sparse LU factor,
     diagonal and row sums, validated on the stored entries: nonnegative off-diagonal
     rates, nonpositive diagonal and row sums, every state transient. Its arrays are
-    read-only, shared where they already were (a cached structure), else copied. An
-    upper triangular block factors in its own order, without fill; others by COLAMD."""
+    read-only, shared where they already were (a built chain's block comes as it is),
+    else copied. Upper triangular blocks factor in order, without fill; others by COLAMD."""
     if sparse.issparse(S):
-        Q = sparse.csc_array(S, dtype=float)
+        shared = isinstance(S, sparse.csc_array) and S.dtype == float and not any(
+            a.flags.writeable for a in (S.data, S.indices, S.indptr))
+        Q = S if shared else sparse.csc_array(S, dtype=float)
         if not Q.has_canonical_format:
             Q = Q.copy()
             Q.sum_duplicates()
@@ -347,12 +352,17 @@ def _triplets(idx: _StateIndex, rules: dict, rates: dict, step: float):
             np.concatenate((vals, -np.bincount(rows, vals, minlength=idx.size))))
 
 
+def _table(rules: dict) -> tuple:
+    """A rule table as ``(family, exit, moves)`` tuples, the key of :func:`_structure`."""
+    return tuple((fam, exit_, tuple(moves.items())) for fam, (exit_, moves) in rules.items())
+
+
 @lru_cache(maxsize=4)
 def _structure(table: tuple, k: int, families: tuple, phased: frozenset):
     """The read-only CSC ``indptr`` and ``indices`` of a rule table's ``S`` at Erlang
     order ``k``, the positions in ``V.ravel()`` of ``V``'s entries, which follow ``S``'s,
     and the coefficients of ``mu1``, ``mu2`` and the freeze step in every entry.
-    ``table`` is the rule table as ``(family, exit, moves)`` tuples."""
+    ``table`` is the rule table as :func:`_table` gives it."""
     idx = _StateIndex(k, families, phased)
     rules = {fam: (exit_, dict(moves)) for fam, exit_, moves in table}
     units = ({1: 1.0, 2: 0.0}, 0.0), ({1: 0.0, 2: 1.0}, 0.0), ({1: 0.0, 2: 0.0}, 1.0)
@@ -370,13 +380,12 @@ def _structure(table: tuple, k: int, families: tuple, phased: frozenset):
     return out
 
 
-def _rule_chain(idx: _StateIndex, rules: dict, p, entry, age) -> AbsorbingChain:
+def _rule_chain(idx: _StateIndex, table: tuple, p, entry, age) -> AbsorbingChain:
     """The chain of a rule table at ``p``: servers 1 and 2 complete at ``p.mu1`` and
     ``p.mu2``, a freeze phase ends at ``p.k * p.freeze_rate``; moves into ``_OK``/``_LOST``
     fill ``V``, the rest ``S``. ``init`` is ``idx.entry(entry)`` (None while ``entry``
     is), ``aoi_mask`` ``idx.mask(age)`` and ``meta`` ``p.meta()``. A build only weighs
     the rates: the structure is :func:`_structure`'s, cached per table and order."""
-    table = tuple((fam, exit_, tuple(moves.items())) for fam, (exit_, moves) in rules.items())
     indptr, indices, at_V, coef = _structure(table, idx.k, tuple(idx.first), idx.phased)
     n, nnz = idx.size, indices.size
     data = np.array([p.mu1, p.mu2, p.k * p.freeze_rate if idx.phased else 0.0]) @ coef
@@ -430,21 +439,23 @@ def _log_factorial(j) -> np.ndarray:
                        j.size).reshape(j.shape)
 
 
-def _poisson_tail(mass, left, right):
+def _poisson_tail(mass, left, right, log_factorial=None):
     """Upper bound on the Poisson(``mass``) probability outside
     ``[left, right]``.
 
     Above ``right`` each term is at most ``mass / (right + 2)`` times the
     one before, below ``left`` at most ``(left - 1) / mass``, so while
     that ratio is under one each tail is at most a geometric series from
-    its first term; otherwise the bound is 1.
+    its first term; otherwise the bound is 1. ``log_factorial``, if given, is
+    a table of ``log(j!)`` for ``j`` up to ``right + 1``.
     """
     mass, left, right = np.broadcast_arrays(np.asarray(mass, dtype=float),
                                             left, right)
 
-    def geometric(first, ratio):
+    def geometric(j, ratio):
+        log_j = _log_factorial(j) if log_factorial is None else log_factorial[j.astype(int)]
         with np.errstate(divide="ignore"):
-            pmf = np.exp(first * np.log(mass) - mass - _log_factorial(first))
+            pmf = np.exp(j * np.log(mass) - mass - log_j)
             sum_ = pmf / (1.0 - ratio)
         return np.where(ratio < 1.0, sum_, 1.0)
 
@@ -496,38 +507,40 @@ def _single_pass(P, masses: np.ndarray, v: np.ndarray, W):
     (``P.T @ u`` without scipy's dispatch) into the next row of one reused
     block, and keeps only the projections ``u_j W`` (``u_j`` itself when
     ``W`` is None). Each point is the Poisson-weighted sum of the
-    projections inside its window (Grassmann 1977; Fox and Glynn 1988),
-    the weights normalized to sum to one over the terms kept. Returns the
-    values and the largest Poisson mass outside a point's window.
+    projections over its window (Grassmann 1977; Fox and Glynn 1988), the
+    weights normalized to sum to one over the terms kept: in each block, a
+    tile of ``_TILE`` points is weighted over its share of their windows'
+    union. Returns the values and a bound on the Poisson mass dropped.
     """
     left, right = _poisson_window(masses, EXPM_TAIL)
     log_mass = np.log(masses)[:, None]
     n, PT = v.shape[0], P.T.tocsr()
     arrays = (n, n, PT.indptr, PT.indices, PT.data)
-    width = n if W is None else W.shape[1]
-    acc = np.zeros((masses.shape[0], width))
+    acc = np.zeros((masses.shape[0], n if W is None else W.shape[1]))
     norm = np.zeros(masses.shape[0])
     steps = _length(right[-1]) + 1
-    log_factorial = _log_factorial(np.arange(steps))
+    log_factorial = _log_factorial(np.arange(steps + 1))
     U = np.zeros((_BLOCK + 1, n))
     rows = list(U)
     U[_BLOCK] = v
     for j0 in range(0, steps, _BLOCK):
-        j = np.arange(j0, min(j0 + _BLOCK, steps))
+        end = min(j0 + _BLOCK, steps)
         U[0], U[1:] = U[_BLOCK], 0.0  # carry the last row over, clear the rest
-        for r in range(j.shape[0]):
+        for r in range(end - j0):
             csr_matvec(*arrays, rows[r], rows[r + 1])
         # the points whose window meets this block are contiguous
-        a, b = np.searchsorted(right, j0), np.searchsorted(left, j[-1], "right")
-        if a < b:
-            p = j * log_mass[a:b]  # in place: no large temporaries
-            p -= masses[a:b, None]
-            p -= log_factorial[j0:j0 + j.shape[0]]
+        a, b = np.searchsorted(right, j0), np.searchsorted(left, end - 1, "right")
+        proj = U[:end - j0] if W is None else U[:end - j0] @ W
+        for t0 in range(a, b, _TILE):
+            t1 = min(t0 + _TILE, b)  # both window bounds are nondecreasing
+            lo, hi = max(int(left[t0]), j0), min(int(right[t1 - 1]) + 1, end)
+            p = np.arange(lo, hi) * log_mass[t0:t1]  # in place: no large temporaries
+            p -= masses[t0:t1, None]
+            p -= log_factorial[lo:hi]
             np.exp(p, out=p)
-            block = U[:j.shape[0]]
-            acc[a:b] += p @ (block if W is None else block @ W)
-            norm[a:b] += p.sum(axis=1)
-    tail = float(np.max(_poisson_tail(masses, left, right)))
+            acc[t0:t1] += p @ proj[lo - j0:hi - j0]
+            norm[t0:t1] += p.sum(axis=1)
+    tail = float(np.max(_poisson_tail(masses, left, right, log_factorial)))
     return acc / norm[:, None], tail
 
 
@@ -568,7 +581,7 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
     ``(values, info)``, where ``info`` names the ``kernel``
     (``"single_pass"`` or ``"squaring"``) and gives the ``unif_mass``
     ``rate * max(xs)`` and ``poisson_tail``, a bound on the Poisson mass
-    discarded at any point.
+    discarded at any point, weighed only over its window and its tile's.
 
     Raises
     ------

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .phasetype import _LOST, _OK, AbsorbingChain, _ordered_rates, _rule_chain, _StateIndex
+from .phasetype import _LOST, _OK, AbsorbingChain, _ordered_rates, _rule_chain, _StateIndex, _table
 
 #: The zero-wait rules, ``state: (None, {server: destination})`` as in
 #: ``fp._RULES``: a completion at server 1 (rate ``mu1``) or 2 (``mu2``)
@@ -39,8 +39,8 @@ _RULES = {
 #: those overlapping the age sawtooth: the tagged packet delivered, its successor due.
 _ENTRY, _AGE = (1, 3), (5, 6, 7)
 
-#: The states as rows ``0..6``.
-_INDEX = _StateIndex(1, _RULES, ())
+#: The states as rows ``0..6``, and the rules as the structure cache's key.
+_INDEX, _TABLE = _StateIndex(1, _RULES, ()), _table(_RULES)
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def build_zw_amc(p: ZwParams) -> AbsorbingChain:
     packet discarded at the monitor. The initial vector places the tagged
     packet on server ``i`` with probability ``mu_i / (mu1 + mu2)``.
     """
-    return _rule_chain(_INDEX, _RULES, p, dict(zip(_ENTRY, (p.mu1, p.mu2))), _AGE)
+    return _rule_chain(_INDEX, _TABLE, p, dict(zip(_ENTRY, (p.mu1, p.mu2))), _AGE)
 
 
 def zw_explicit_inverse(p: ZwParams) -> np.ndarray:

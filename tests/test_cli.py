@@ -637,6 +637,21 @@ def test_entry_point_installed():
     assert proc.stdout.strip() == aoidual.__version__
 
 
+def test_import_loads_neither_scipy_special_nor_optimize():
+    """``import aoidual`` (and its CLI) in a fresh interpreter stays off ``scipy.special``
+    and ``scipy.optimize``: each would add tens of milliseconds to every start."""
+    src_dir = os.path.dirname(os.path.dirname(aoidual.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, aoidual, aoidual.cli; print(' '.join(sorted(m for m in sys.modules"
+             " if m.startswith(('scipy.special', 'scipy.optimize')))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 @pytest.mark.skipif(shutil.which("aoidual") is None,
                     reason="no installed aoidual console script on PATH")
 def test_console_script_on_path():

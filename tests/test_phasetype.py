@@ -373,6 +373,42 @@ class TestFig3Kernel:
         assert table.cdf[-1] == pytest.approx(cdf[-1], abs=1e-12)
 
 
+class TestTiling:
+    """A table does not depend on how the walk blocks its steps and tiles its points."""
+
+    @pytest.fixture(scope="class", params=["zw", "fp3"])
+    def chain(self, request):
+        if request.param == "zw":
+            return build_zw_amc(ZwParams(0.5, 0.1))
+        return build_fp_model(FpParams(0.5, 0.1, 1.0, 3))
+
+    def test_tables_do_not_depend_on_the_tiling(self, monkeypatch, chain):
+        from aoidual import phasetype
+
+        # 700 points: windows straddle the edges of blocks and of tiles
+        spec = GridSpec(points=700)
+        default = summarize(chain, spec)
+        dense = {}
+        for kind, w in (("aoi", chain.aoi_mask), ("paoi", chain.V[:, 0])):
+            y = np.linalg.solve(chain.S, w)
+            denom = -(chain.init @ y)
+            grid = getattr(default, f"{kind}_table").grid
+            u = np.array([chain.init @ scipy.linalg.expm(chain.S * x) for x in grid])
+            dense[kind] = (u @ w / denom, (u - chain.init) @ y / denom)
+        for block, tile in [(256, 64), (7, 1), (7, 64), (7, 4096), (256, 1), (256, 4096)]:
+            monkeypatch.setattr(phasetype, "_BLOCK", block)
+            monkeypatch.setattr(phasetype, "_TILE", tile)
+            summary = summarize(chain, spec)
+            for kind in ("aoi", "paoi"):
+                got, want = getattr(summary, f"{kind}_table"), getattr(default, f"{kind}_table")
+                np.testing.assert_array_equal(got.grid, want.grid)
+                assert np.max(np.abs(got.pdf - want.pdf)) <= 1e-14 * np.max(want.pdf)
+                assert np.max(np.abs(got.cdf - want.cdf)) <= 1e-14
+                pdf, cdf = dense[kind]
+                assert np.max(np.abs(got.pdf - pdf)) <= 1e-12
+                assert np.max(np.abs(got.cdf - cdf)) <= 1e-12
+
+
 class TestErlangConstruction:
     def test_order_one_is_exponential(self):
         ph = erlang_ph(1.0, 1)
