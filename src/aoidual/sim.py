@@ -10,9 +10,10 @@ Under zero wait and preemption-only both servers are always busy, so by
 memorylessness their completions merge into one Poisson stream of rate
 ``mu1 + mu2`` whose events belong to server 1 with probability
 ``mu1 / (mu1 + mu2)``, restarts included. These two policies are array
-code over that stream: a delivered packet was generated at its server's
-latest earlier restart, the monitor's discard rule is a running maximum,
-and preemptions follow from which server holds the fresher packet.
+code over that stream, walked in chunks that carry its last two events:
+a packet started one or two events before its delivery, a zero-wait one
+is stale exactly when both events before it are the other server's, and
+preemptions follow from which server holds the fresher packet.
 
 Freeze/preempt is array code over the chain embedded at freeze starts.
 Each freeze starts with one packet assignment, in one of three entry
@@ -28,13 +29,14 @@ by seed and replication index), so results are bit-reproducible and
 replications could run in any order. The merged stream draws its gaps
 and marks in blocks of ``horizon`` events, freeze/preempt its gamma freezes
 (none at ``k = inf``) and exponential services in fixed blocks of cycles.
+The exact age KS distance merges the sorted starts, peaks and grid once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from math import inf, nan, sqrt
 from operator import add
 from types import MappingProxyType
@@ -176,57 +178,69 @@ def _block(rng, mu1, mu2, n):
     return rng.standard_exponential(n) / total, rng.random(n) < mu1 / total
 
 
-def _latest(flags):
-    """Index of the latest earlier event where ``flags`` holds, -1 if none."""
-    idx = np.where(flags, np.arange(flags.shape[0]), -1)
-    return np.concatenate(([-1], np.maximum.accumulate(idx)[:-1]))
+def _stream(rng, mu1, mu2, n):
+    """Times and server-1 marks of the merged stream's ``_CHUNK``-event chunks.
 
-
-def _started(t, m1, restart1, restart2):
-    """Restart index (-1: t = 0) and generation time of each delivery."""
-    start = np.where(m1, _latest(restart1), _latest(restart2))
-    return start, np.concatenate(([0.0], t))[start + 1]
+    Each chunk is led by the two events before it; the first by virtual
+    restarts at t = 0 of server 1 and then server 2 (the fresher packet).
+    """
+    times, marks = np.zeros(2), np.array([True, False])
+    while True:
+        gap, mark = _block(rng, mu1, mu2, n)
+        for lo in range(0, n, _CHUNK):
+            times = np.concatenate((times[-2:], gap[lo:lo + _CHUNK]))
+            np.cumsum(times[1:], out=times[1:])
+            marks = np.concatenate((marks[-2:], mark[lo:lo + _CHUNK]))
+            yield times, marks
 
 
 def _run_zw(mu1, mu2, horizon, rng):
-    gaps, marks = [], []
-    while True:
-        gap, mark = _block(rng, mu1, mu2, horizon)
-        gaps.append(gap)
-        marks.append(mark)
-        m1 = np.concatenate(marks)
-        t = np.cumsum(np.concatenate(gaps))
-        start, gen = _started(t, m1, m1, ~m1)
-        # sequence order: by restart event, and server 2's t = 0 packet is
-        # the fresher; a reception is fresh when it beats every earlier one
-        seq = 2 * start + ~m1
-        fresh = np.flatnonzero(seq == np.maximum.accumulate(seq))
-        if fresh.shape[0] >= horizon:
+    # Every event restarts its server, so a delivery is stale exactly when
+    # the two events before it are the other server's: the first restarted
+    # that server after this one, the second delivered the fresher packet.
+    # A fresh packet thus started one or two events before its delivery.
+    delivered, generated = [], []
+    got = used = 0
+    for times, marks in _stream(rng, mu1, mu2, horizon):
+        same = marks[2:] == marks[1:-1]
+        fresh = np.flatnonzero(same | (marks[1:-1] != marks[:-2]))[:horizon - got]
+        delivered.append(times[fresh + 2])
+        generated.append(times[fresh + same[fresh]])
+        got += fresh.shape[0]
+        if got == horizon:
             break
-    fresh = fresh[:horizon]
-    stats = {"monitor_discards": int(fresh[-1]) + 1 - horizon, "preemptions": 0,
-             "elapsed": float(t[fresh[-1]])}
-    return t[fresh], gen[fresh], stats
+        used += same.shape[0]
+    stats = {"monitor_discards": used + int(fresh[-1]) + 1 - horizon, "preemptions": 0,
+             "elapsed": float(delivered[-1][-1])}
+    return np.concatenate(delivered), np.concatenate(generated), stats
 
 
 def _run_po(mu1, mu2, horizon, rng):
-    gaps, m1 = _block(rng, mu1, mu2, horizon)
-    t = np.cumsum(gaps)
     # Every delivery is fresh. Server 2 leads (holds the fresher packet) at
     # t = 0 and after each of its deliveries and each preemption (both
     # restart, server 2 second); r server-1 deliveries since then leave
     # server 1 leading exactly when r is odd. The leader's delivery
-    # preempts the other server.
-    run = np.arange(horizon) - _latest(~m1) - 1
-    preempt = m1 == (run % 2 == 1)
-    _, gen = _started(t, m1, m1 | preempt, ~m1 | preempt)
-    n_pre = int(np.count_nonzero(preempt))
+    # preempts the other server. A delivered packet started at the event
+    # before, or the one before that past the other server's non-preempting one.
+    run, pre = 0, False  # server-1 deliveries since server 2's last; last event preempted
+    n_pre = alone1 = 0
+    delivered, generated = [], []
+    for times, marks in islice(_stream(rng, mu1, mu2, horizon), -(-horizon // _CHUNK)):
+        m1 = marks[2:]
+        i = np.arange(m1.shape[0])
+        runs = i - np.maximum.accumulate(np.where(m1, -1 - run, i))  # through each event
+        preempt = m1 == (np.concatenate(([run], runs[:-1])) % 2 == 1)
+        restarted = (m1 == marks[1:-1]) | np.concatenate(([pre], preempt[:-1]))
+        delivered.append(times[2:])
+        generated.append(np.where(restarted, times[1:-1], times[:-2]))
+        run, pre = int(runs[-1]), bool(preempt[-1])
+        n_pre += int(np.count_nonzero(preempt))
+        alone1 += int(np.count_nonzero(m1 & ~preempt))
     # server 2 restarts at t = 0 and at every event but a lone server-1 restart
-    alone1 = int(np.count_nonzero(m1 & ~preempt))
     stats = {"monitor_discards": 0, "preemptions": n_pre,
              "entry_counts": (1 + n_pre, 1 + horizon - alone1, alone1),
-             "elapsed": float(t[-1])}
-    return t, gen, stats
+             "elapsed": float(delivered[-1][-1])}
+    return np.concatenate(delivered), np.concatenate(generated), stats
 
 
 # Entry states of a freeze cycle: A, the new packet on server 1 with
@@ -236,6 +250,7 @@ def _run_po(mu1, mu2, horizon, rng):
 _MAPS = np.array(list(product(range(3), repeat=3)))
 _COMPOSE = (_MAPS[np.arange(27)[:, None, None], _MAPS[None]] @ [9, 3, 1]).ravel()
 _FP_CYCLES = 1 << 16  # freeze cycles drawn per block
+_CHUNK = 1 << 16  # merged-stream events walked at a time
 
 
 def _resolve(codes, s0):
@@ -315,24 +330,33 @@ def _cycles(delivered, generated, warmup):
     return d[:-1] - g[:-1], np.diff(d), d[1:] - g[:-1]
 
 
+def _cycle_samples(u, length):
+    """Per-cycle starting ages and lengths as arrays, checked, and the total length."""
+    u, length = np.asarray(u, dtype=float), np.asarray(length, dtype=float)
+    if u.shape != length.shape:
+        raise ValueError(f"u and length differ in shape: {u.shape} and {length.shape}")
+    for name, a in (("u", u), ("length", length)):
+        if np.isnan(a).any():
+            raise ValueError(f"{name} holds a NaN sample")
+    if np.any(length < 0):
+        raise ValueError("cycle lengths must be nonnegative")
+    total = length.sum()
+    if not total > 0:
+        raise ValueError("length must hold cycles of positive total length")
+    return u, length, total
+
+
 def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
     """Fraction of time the age sawtooth stays at or below each ``x``.
 
     Uses the exact piecewise-linear cycle geometry: a cycle starting at
     age ``u`` with length ``L`` spends ``clip(x - u, 0, L)`` time units
-    at or below ``x``. Lengths must be nonnegative, with a positive total.
+    at or below ``x``. The samples must match in shape and hold no NaN;
+    lengths must be nonnegative, with a positive total.
     """
-    u = np.asarray(u, dtype=float)
-    length = np.asarray(length, dtype=float)
-    if np.any(length < 0):
-        raise ValueError("cycle lengths must be nonnegative")
+    u, length, total = _cycle_samples(u, length)
     xs = np.asarray(xs, dtype=float)
-    peaks = u + length
-    total = length.sum()
-    if not total > 0:
-        raise ValueError("length must hold cycles of positive total length")
-    us = np.sort(u)
-    ps = np.sort(peaks)
+    us, ps = np.sort(u), np.sort(u + length)
     cum_u = np.concatenate(([0.0], np.cumsum(us)))
     cum_p = np.concatenate(([0.0], np.cumsum(ps)))
     below_u = np.searchsorted(us, xs, side="right")
@@ -344,6 +368,8 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
 def empirical_paoi_cdf(peaks_sorted, xs) -> np.ndarray:
     """Empirical cdf of the recorded peaks, at least one, sorted ascending, at each ``x``."""
     peaks_sorted = np.asarray(peaks_sorted, dtype=float)
+    if np.isnan(peaks_sorted).any():
+        raise ValueError("peaks_sorted holds a NaN sample")
     if np.any(peaks_sorted[1:] < peaks_sorted[:-1]):
         raise ValueError("peaks_sorted must be sorted ascending")
     if peaks_sorted.size == 0:
@@ -387,9 +413,6 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
                          else totals[key] + value)
             totals[key] = value
 
-    u = np.concatenate(all_u)
-    length = np.concatenate(all_len)
-    peak = np.concatenate(all_peak)
     if cfg.replications >= 2:
         se_aoi = float(rep_aoi.std(ddof=1) / sqrt(cfg.replications))
         se_paoi = float(rep_paoi.std(ddof=1) / sqrt(cfg.replications))
@@ -397,12 +420,14 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
         se_aoi = se_paoi = nan
 
     totals["per_rep"] = per_rep
-    samples = SampleSet(u, length, peak) if keep_samples else None
+    # pooled only when kept: copying a long run's samples is a sizeable share of it
+    samples = (SampleSet(*map(np.concatenate, (all_u, all_len, all_peak)))
+               if keep_samples else None)
     return SimResult(
         mean_aoi=float(rep_aoi.mean()), mean_paoi=float(rep_paoi.mean()),
         se_aoi=se_aoi, se_paoi=se_paoi,
         rep_mean_aoi=rep_aoi, rep_mean_paoi=rep_paoi,
-        cycle_count=int(u.shape[0]), config=cfg.describe(), stats=totals,
+        cycle_count=sum(map(len, all_u)), config=cfg.describe(), stats=totals,
         samples=samples)
 
 
@@ -432,26 +457,30 @@ def ks_against_table(result: SimResult, table: DistributionTable) -> float:
 
     For peaks, the empirical cdf is a step function and both sides of
     every jump are compared; for the age, the empirical time-fraction
-    cdf is piecewise linear and both curves are compared on the union of
-    their breakpoints. The analytic cdf is interpolated from its table.
+    cdf is piecewise linear and both curves are compared at every
+    breakpoint of either. The analytic cdf is interpolated from its table.
     """
     kind = table.meta.get("kind")
     s = _samples(result, kind)
     if kind == "paoi":
         peaks = np.sort(s.peak)
-        n = peaks.shape[0]
+        steps = np.arange(peaks.shape[0] + 1) / peaks.shape[0]
         fa = _interp_cdf(table, peaks)
-        hi = np.arange(1, n + 1) / n
-        lo = np.arange(0, n) / n
-        d_jump = max(float(np.max(hi - fa)), float(np.max(fa - lo)))
-        fa_grid = _interp_cdf(table, table.grid)
         fe_grid = empirical_paoi_cdf(peaks, table.grid)
-        d_grid = float(np.max(np.abs(fa_grid - fe_grid)))
-        return max(d_jump, d_grid)
-    xs = np.union1d(np.concatenate([s.u, s.u + s.length]), table.grid)
-    fe = empirical_aoi_cdf(s.u, s.length, xs)
-    fa = _interp_cdf(table, xs)
-    return float(np.max(np.abs(fe - fa)))
+        return max(float(np.max(steps[1:] - fa)), float(np.max(fa - steps[:-1])),
+                   float(np.max(np.abs(_interp_cdf(table, table.grid) - fe_grid))))
+    # Time at or below x: x - u summed over starts u <= x less over peaks;
+    # a stable merge of starts (+1), peaks (-1), grid (0) accumulates both.
+    u, length, total = _cycle_samples(s.u, s.length)
+    z = np.concatenate((np.sort(u), np.sort(u + length), table.grid))
+    order = np.argsort(z, kind="stable")
+    z = z[order]
+    sign = np.repeat([1.0, -1.0, 0.0], [u.size, u.size, table.grid.size])[order]
+    fe = z * np.cumsum(sign)
+    fe -= np.cumsum(sign * z)
+    fe /= total
+    fe -= _interp_cdf(table, z)
+    return float(np.max(np.abs(fe)))
 
 
 def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable) -> float:

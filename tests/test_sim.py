@@ -3,6 +3,7 @@ agreement with the analytic models."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,6 +348,7 @@ class TestArrayPolicies:
            seed=st.integers(0, 2**32 - 1))
     @example(mu1=1.0, log_ratio=0.0, n=50, warm=0.0, seed=0)
     @example(mu1=1.0, log_ratio=-3.0, n=3000, warm=0.0, seed=1)
+    @example(mu1=1.0, log_ratio=0.0, n=70_000, warm=0.0, seed=2)  # past one full chunk
     def test_match_the_event_rules(self, policy, mu1, log_ratio, n, warm, seed):
         mu2 = mu1 * 10.0 ** log_ratio
         warmup = int(warm * (n - 2))
@@ -367,6 +369,13 @@ class TestArrayPolicies:
         assert u.tolist() == old.u
         assert length.tolist() == old.length
         assert peak.tolist() == old.peak
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("policy", [ZW, FP_PREEMPT_ONLY])
+    def test_match_the_event_rules_across_chunks(self, policy, chunk):
+        # small chunks put many chunk and block boundaries in every case
+        with mock.patch.object(sim, "_CHUNK", chunk):
+            self.test_match_the_event_rules(policy)
 
     @given(mu1=st.floats(0.01, 10.0), log_ratio=st.floats(-3.0, 3.0),
            log_freeze=st.floats(-2.0, 3.0), k=st.integers(1, 50),
@@ -446,6 +455,16 @@ class TestEmpiricalCdfs:
         with pytest.raises(ValueError, match="nonnegative"):
             empirical_aoi_cdf([0.0, 1.0], [1.0, -0.5], [0.5, 2.0])
 
+    def test_cdfs_refuse_malformed_samples(self):
+        with pytest.raises(ValueError, match="u and length"):
+            empirical_aoi_cdf([0.0, 1.0, 5.0], [1.0], [0.5, 1.5, 3.0])
+        with pytest.raises(ValueError, match="^u holds a NaN"):
+            empirical_aoi_cdf([0.0, np.nan], [1.0, 1.0], [0.5])
+        with pytest.raises(ValueError, match="^length holds a NaN"):
+            empirical_aoi_cdf([0.0, 1.0], [1.0, np.nan], [0.5])
+        with pytest.raises(ValueError, match="peaks_sorted holds a NaN"):
+            empirical_paoi_cdf([1.0, np.nan, 2.0], [1.5])
+
     def test_cdfs_refuse_empty_samples(self):
         # no time covered, no peak: a ValueError naming the argument, not a NaN
         for u, length in (([0.0], [0.0]), ([], [])):
@@ -515,6 +534,45 @@ class TestKsMachinery:
         res = simulate(cfg)
         assert ks_against_table(res, summary.aoi_table) < 0.01
         assert ks_against_table(res, summary.paoi_table) < 0.01
+
+    def test_distances_match_bruteforce(self):
+        # Starts and lengths on a quarter lattice tie starts with starts,
+        # peaks with starts and peaks with grid points; a third are off it.
+        from aoidual import DistributionTable
+        from aoidual.sim import SampleSet, SimResult
+
+        rng = np.random.default_rng(24)
+        u = rng.integers(0, 24, 300) * 0.25
+        length = rng.integers(1, 24, 300) * 0.25
+        u[:100] += rng.uniform(0.0, 0.25, 100)
+        length[:100] += rng.uniform(0.0, 0.25, 100)
+        peak = u + length
+        res = SimResult(0.0, 0.0, math.nan, math.nan, np.zeros(1), np.zeros(1), 300,
+                        {}, {}, SampleSet(u, length, peak))
+        grid = np.union1d(np.arange(0.0, 12.5, 1.0), rng.uniform(0.0, 12.0, 60))
+
+        def age(x):
+            return np.clip(x - u, 0.0, length).sum() / length.sum()
+
+        def peak_age(x, before=False):
+            return np.count_nonzero(peak < x if before else peak <= x) / 300
+
+        # Tables near the empirical cdf (between both sides of its jumps),
+        # above and below it, so the sup falls at fine kinks on either side.
+        for shift in (0.02, -0.02):
+            for kind, xs, sides in (
+                    ("aoi", np.union1d(np.concatenate([u, peak]), grid), [age]),
+                    ("paoi", np.union1d(peak, grid),
+                     [peak_age, lambda x: peak_age(x, before=True)])):
+                near = np.mean([[side(x) for x in grid] for side in sides], axis=0)
+                near += rng.uniform(-0.02, 0.02, grid.size) + shift
+                cdf = np.maximum.accumulate(np.clip(near, 0.0, 1.0))
+                table = DistributionTable(grid, np.zeros(grid.size), cdf, 1.0, 2.0, 1.0,
+                                          meta={"kind": kind})
+                analytic = np.interp(xs, grid, cdf, left=0.0, right=cdf[-1])
+                # at every breakpoint, for the step cdf at both sides of every jump
+                brute = max(np.max(np.abs([side(x) for x in xs] - analytic)) for side in sides)
+                assert ks_against_table(res, table) == pytest.approx(brute, abs=1e-12), kind
 
     def test_requires_samples(self):
         p = FpParams(0.5, 0.1, 1.0, 1)
