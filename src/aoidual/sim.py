@@ -24,19 +24,20 @@ sequence is a prefix scan over the composition of those maps (Blelloch
 1990); each cycle's deliveries, preemption and length then follow
 elementwise. An infinite freeze rate is simulated as preemption-only.
 
-Replications draw from independent counter-based streams (Philox keyed
-by seed and replication index), so results are bit-reproducible and
-replications could run in any order. The merged stream draws its gaps
-and marks in blocks of ``horizon`` events, freeze/preempt its gamma freezes
-(none at ``k = inf``) and exponential services in fixed blocks of cycles.
-The exact age KS distance merges the sorted starts, peaks and grid once.
+Replications draw from independent PCG64DXSM streams keyed by seed and
+replication index, so results are bit-reproducible and replications
+could run in any order. Draws come in fixed-size blocks, so a shorter run
+is a prefix of a longer one: per ``_CHUNK`` events the merged stream's gaps,
+then marks; per ``_FP_CYCLES`` cycles, into reused buffers, the gamma
+freezes (none at ``k = inf``), then each server's services. The age cdf
+and KS distance sort the starts and the peaks once each, then merge them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from math import inf, nan, sqrt
 from operator import add
 from types import MappingProxyType
@@ -146,8 +147,10 @@ class SimResult:
             peaks = np.sort(s.peak)
             x = _quantile_grid(peaks)
             return x, empirical_paoi_cdf(peaks, x)
-        x = _quantile_grid(np.sort(np.concatenate([s.u, s.u + s.length])))
-        return x, empirical_aoi_cdf(s.u, s.length, x)
+        us, ps, total = _sorted_cycles(s.u, s.length)
+        # a stable sort of two sorted runs is one merge (timsort)
+        x = _quantile_grid(np.sort(np.concatenate((us, ps)), kind="stable"))
+        return x, _time_below(us, ps, total, x)
 
     def cdf_to_csv(self, kind: str, path) -> None:
         """Write the empirical cdf of ``kind``, ``"aoi"`` or ``"paoi"``."""
@@ -169,7 +172,7 @@ CDF_POINTS = 2048
 
 def _rep_rng(seed: int, rep: int):
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def _block(rng, mu1, mu2, n):
@@ -178,20 +181,19 @@ def _block(rng, mu1, mu2, n):
     return rng.standard_exponential(n) / total, rng.random(n) < mu1 / total
 
 
-def _stream(rng, mu1, mu2, n):
-    """Times and server-1 marks of the merged stream's ``_CHUNK``-event chunks.
+def _stream(rng, mu1, mu2):
+    """Times and server-1 marks of the merged stream, drawn ``_CHUNK`` events at a time.
 
     Each chunk is led by the two events before it; the first by virtual
     restarts at t = 0 of server 1 and then server 2 (the fresher packet).
     """
     times, marks = np.zeros(2), np.array([True, False])
     while True:
-        gap, mark = _block(rng, mu1, mu2, n)
-        for lo in range(0, n, _CHUNK):
-            times = np.concatenate((times[-2:], gap[lo:lo + _CHUNK]))
-            np.cumsum(times[1:], out=times[1:])
-            marks = np.concatenate((marks[-2:], mark[lo:lo + _CHUNK]))
-            yield times, marks
+        gap, mark = _block(rng, mu1, mu2, _CHUNK)
+        times = np.concatenate((times[-2:], gap))
+        np.cumsum(times[1:], out=times[1:])
+        marks = np.concatenate((marks[-2:], mark))
+        yield times, marks
 
 
 def _run_zw(mu1, mu2, horizon, rng):
@@ -201,7 +203,7 @@ def _run_zw(mu1, mu2, horizon, rng):
     # A fresh packet thus started one or two events before its delivery.
     delivered, generated = [], []
     got = used = 0
-    for times, marks in _stream(rng, mu1, mu2, horizon):
+    for times, marks in _stream(rng, mu1, mu2):
         same = marks[2:] == marks[1:-1]
         fresh = np.flatnonzero(same | (marks[1:-1] != marks[:-2]))[:horizon - got]
         delivered.append(times[fresh + 2])
@@ -225,7 +227,8 @@ def _run_po(mu1, mu2, horizon, rng):
     run, pre = 0, False  # server-1 deliveries since server 2's last; last event preempted
     n_pre = alone1 = 0
     delivered, generated = [], []
-    for times, marks in islice(_stream(rng, mu1, mu2, horizon), -(-horizon // _CHUNK)):
+    for lo, (times, marks) in zip(range(0, horizon, _CHUNK), _stream(rng, mu1, mu2)):
+        times, marks = times[:horizon - lo + 2], marks[:horizon - lo + 2]  # last chunk: trimmed
         m1 = marks[2:]
         i = np.arange(m1.shape[0])
         runs = i - np.maximum.accumulate(np.where(m1, -1 - run, i))  # through each event
@@ -267,12 +270,16 @@ def _resolve(codes, s0):
     return s
 
 
-def _fp_block(rng, p):
-    """Freeze length (1/freeze_rate at k = inf) and both service times of each next cycle."""
-    f = (np.full(_FP_CYCLES, 1.0 / p.freeze_rate) if p.k == inf
-         else rng.standard_gamma(p.k, _FP_CYCLES) / (p.k * p.freeze_rate))
-    return (f, rng.standard_exponential(_FP_CYCLES) / p.mu1,
-            rng.standard_exponential(_FP_CYCLES) / p.mu2)
+def _fp_block(rng, p, out):
+    """Freeze length (1/freeze_rate at k = inf) and both service times of each next
+    cycle, drawn in that order into the rows of ``out``, a ``(3, _FP_CYCLES)`` array."""
+    if p.k == inf:
+        out[0] = 1.0
+    else:
+        rng.standard_gamma(p.k, out=out[0])
+    rng.standard_exponential(out=out[1:])  # server 1's, then server 2's
+    out /= [[p.freeze_rate if p.k == inf else p.k * p.freeze_rate], [p.mu1], [p.mu2]]
+    return out
 
 
 def _run_fp(p, horizon, rng):
@@ -284,9 +291,12 @@ def _run_fp(p, horizon, rng):
     state, t, t_prev = 0, 0.0, 0.0
     got = preempts = 0
     entry = np.zeros(3, dtype=np.int64)
-    delivered, generated = [], []
+    draws = np.empty((3, _FP_CYCLES))
+    times = np.empty(_FP_CYCLES + 2)  # T_{i-1} and T_i for cycle i at [i] and [i + 1]
+    ok = np.empty((_FP_CYCLES, 2), dtype=bool)  # per cycle: old packet delivered, new one
+    delivered, generated = np.empty(horizon), np.empty(horizon)
     while got < horizon:
-        f, x1, x2 = _fp_block(rng, p)
+        f, x1, x2 = _fp_block(rng, p, draws)
         first1 = x1 <= x2  # ties go to server 1
         in1, in2 = x1 <= f, x2 <= f  # completions at the freeze's end win
         # A -> B unless the new packet finishes within the freeze; B -> C
@@ -294,29 +304,30 @@ def _run_fp(p, horizon, rng):
         codes = 9 * ~in1 + 6 * (first1 & ~in2) + (~first1 & ~in1)
         s = _resolve(codes, state)
         s, state = s[:-1], s[-1]
-        a, b = s == 0, s == 1
-        new, old = np.where(b, x2, x1), np.where(b, x1, x2)
+        a, b = s == 0, s == 1  # b: the new packet is on server 2
         new_first = b != first1
         pre = new_first & ~a
-        # per cycle: the old packet's delivery, then the new one's
-        ok = np.stack([~a & ~new_first, pre | np.where(b, in2, in1)], axis=1)
+        np.logical_not(a | new_first, out=ok[:, 0])
+        np.logical_or(pre, in1 ^ (b & (in1 ^ in2)), out=ok[:, 1])  # in2 if b else in1
         keep = np.flatnonzero(ok)[:horizon - got]
         cycle, newer = keep >> 1, keep & 1
-        length = np.where(a, f, np.maximum(f, np.minimum(new, old)))
-        # T_{i-1} and T_i for cycle i at [i] and [i + 1]
-        times = np.concatenate(([t_prev], np.cumsum(np.concatenate(([t], length)))))
+        length = times[2:]  # the freeze, or the first completion if later (A: no race)
+        np.maximum(f, np.multiply(np.minimum(x1, x2, out=length), ~a, out=length), out=length)
+        times[:2] = t_prev, t
+        np.cumsum(times[1:], out=times[1:])
         t_prev, t = times[-2], times[-1]
-        delivered.append(times[cycle + 1] + np.where(newer, new[cycle], old[cycle]))
-        generated.append(times[cycle + newer])
-        got += keep.shape[0]
+        server = 1 + (newer == b[cycle])  # the delivered packet's row of draws
+        lo, got = got, got + keep.shape[0]
+        np.add(times[cycle + 1], draws[server, cycle], out=delivered[lo:got])
+        np.take(times, cycle + newer, out=generated[lo:got])
         # cycles up to the one that holds the last wanted reception
         used = cycle[-1] + 1 if got == horizon else s.shape[0]
-        entry += np.bincount(s[:used], minlength=3)
+        n_a, n_b = np.count_nonzero(a[:used]), np.count_nonzero(b[:used])
+        entry += (n_a, n_b, used - n_a - n_b)
         preempts += int(np.count_nonzero(pre[:used]))
-    d = np.concatenate(delivered)
     stats = {"monitor_discards": 0, "preemptions": preempts,
-             "entry_counts": tuple(entry.tolist()), "elapsed": float(d[-1])}
-    return d, np.concatenate(generated), stats
+             "entry_counts": tuple(entry.tolist()), "elapsed": float(delivered[-1])}
+    return delivered, generated, stats
 
 
 def _cycles(delivered, generated, warmup):
@@ -330,8 +341,8 @@ def _cycles(delivered, generated, warmup):
     return d[:-1] - g[:-1], np.diff(d), d[1:] - g[:-1]
 
 
-def _cycle_samples(u, length):
-    """Per-cycle starting ages and lengths as arrays, checked, and the total length."""
+def _sorted_cycles(u, length):
+    """Checked per-cycle starting ages and lengths: sorted starts and peaks, total length."""
     u, length = np.asarray(u, dtype=float), np.asarray(length, dtype=float)
     if u.shape != length.shape:
         raise ValueError(f"u and length differ in shape: {u.shape} and {length.shape}")
@@ -343,7 +354,7 @@ def _cycle_samples(u, length):
     total = length.sum()
     if not total > 0:
         raise ValueError("length must hold cycles of positive total length")
-    return u, length, total
+    return np.sort(u), np.sort(u + length), total
 
 
 def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
@@ -354,9 +365,11 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
     at or below ``x``. The samples must match in shape and hold no NaN;
     lengths must be nonnegative, with a positive total.
     """
-    u, length, total = _cycle_samples(u, length)
-    xs = np.asarray(xs, dtype=float)
-    us, ps = np.sort(u), np.sort(u + length)
+    return _time_below(*_sorted_cycles(u, length), np.asarray(xs, dtype=float))
+
+
+def _time_below(us, ps, total, xs):
+    """Share of ``total`` spent at or below each ``x``, from sorted starts and peaks."""
     cum_u = np.concatenate(([0.0], np.cumsum(us)))
     cum_p = np.concatenate(([0.0], np.cumsum(ps)))
     below_u = np.searchsorted(us, xs, side="right")
@@ -420,9 +433,9 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
         se_aoi = se_paoi = nan
 
     totals["per_rep"] = per_rep
-    # pooled only when kept: copying a long run's samples is a sizeable share of it
-    samples = (SampleSet(*map(np.concatenate, (all_u, all_len, all_peak)))
-               if keep_samples else None)
+    # pooled only when kept, one replication's uncopied: a copy is a sizeable share of a run
+    samples = (SampleSet(*(a[0] if len(a) == 1 else np.concatenate(a)
+                           for a in (all_u, all_len, all_peak))) if keep_samples else None)
     return SimResult(
         mean_aoi=float(rep_aoi.mean()), mean_paoi=float(rep_paoi.mean()),
         se_aoi=se_aoi, se_paoi=se_paoi,
@@ -445,10 +458,17 @@ def _interp_cdf(table: DistributionTable, xs: np.ndarray) -> np.ndarray:
 
 
 def ks_distance(x1, cdf1, x2, cdf2) -> float:
-    """Sup distance between two tabulated cdfs on their merged grid."""
-    xs = np.union1d(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    f1 = np.interp(xs, x1, cdf1, left=0.0, right=float(np.asarray(cdf1)[-1]))
-    f2 = np.interp(xs, x2, cdf2, left=0.0, right=float(np.asarray(cdf2)[-1]))
+    """Sup distance between two tabulated cdfs on their merged grid; each grid
+    nonempty, nondecreasing and free of NaN, with one cdf value per point."""
+    curves = [(np.asarray(x, dtype=float), np.asarray(c, dtype=float))
+              for x, c in ((x1, cdf1), (x2, cdf2))]
+    for i, (x, cdf) in enumerate(curves, 1):
+        if not x.size or np.isnan(x).any() or np.any(x[1:] < x[:-1]):
+            raise ValueError(f"x{i} must be a nonempty, nondecreasing grid free of NaN")
+        if cdf.shape != x.shape:
+            raise ValueError(f"cdf{i} holds {cdf.size} values for the {x.size} points of x{i}")
+    xs = np.union1d(curves[0][0], curves[1][0])
+    f1, f2 = (np.interp(xs, x, cdf, left=0.0, right=float(cdf[-1])) for x, cdf in curves)
     return float(np.max(np.abs(f1 - f2)))
 
 
@@ -471,11 +491,11 @@ def ks_against_table(result: SimResult, table: DistributionTable) -> float:
                    float(np.max(np.abs(_interp_cdf(table, table.grid) - fe_grid))))
     # Time at or below x: x - u summed over starts u <= x less over peaks;
     # a stable merge of starts (+1), peaks (-1), grid (0) accumulates both.
-    u, length, total = _cycle_samples(s.u, s.length)
-    z = np.concatenate((np.sort(u), np.sort(u + length), table.grid))
+    us, ps, total = _sorted_cycles(s.u, s.length)
+    z = np.concatenate((us, ps, table.grid))
     order = np.argsort(z, kind="stable")
     z = z[order]
-    sign = np.repeat([1.0, -1.0, 0.0], [u.size, u.size, table.grid.size])[order]
+    sign = np.repeat([1.0, -1.0, 0.0], [us.size, us.size, table.grid.size])[order]
     fe = z * np.cumsum(sign)
     fe -= np.cumsum(sign * z)
     fe /= total

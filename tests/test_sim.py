@@ -98,14 +98,27 @@ class TestDeterminism:
         other = SimConfig(ZwParams(1.0, 0.4), ZW, horizon=20_000, seed=6)
         assert simulate(base).mean_aoi != simulate(other).mean_aoi
 
-    def test_freeze_preempt_shorter_run_is_a_prefix(self):
-        # fixed-size draw blocks: the horizon decides where a run stops,
-        # not what it draws
-        p = FpParams(0.5, 0.1, 1.0, 3)
-        short = sim._run_fp(p, 50_000, sim._rep_rng(5, 0))
-        long = sim._run_fp(p, 150_000, sim._rep_rng(5, 0))
+    @pytest.mark.parametrize("run", [
+        lambda n, rng: sim._run_fp(FpParams(0.5, 0.1, 1.0, 3), n, rng),
+        lambda n, rng: sim._run_zw(1.0, 0.4, n, rng),
+        lambda n, rng: sim._run_po(1.0, 0.4, n, rng)], ids=[FP, ZW, FP_PREEMPT_ONLY])
+    def test_shorter_run_is_a_prefix(self, run):
+        # fixed-size draw blocks: the horizon decides where a run stops, not
+        # what it draws; 50,000 receptions end inside the first 65,536-event
+        # chunk or cycle block (preemption-only trims it), 150,000 run past it
+        short, long = (run(n, sim._rep_rng(5, 0)) for n in (50_000, 150_000))
         assert np.array_equal(short[0], long[0][:50_000])
         assert np.array_equal(short[1], long[1][:50_000])
+
+    @pytest.mark.parametrize("params, policy", [(ZwParams(1.0, 0.4), ZW),
+                                                (FpParams(0.5, 0.1, 1.0, 3), FP),
+                                                (ZwParams(1.0, 0.4), FP_PREEMPT_ONLY)])
+    def test_first_replications_are_a_shorter_run(self, params, policy):
+        # each replication has its own stream: more of them change none before
+        few, more = (simulate(SimConfig(params, policy, horizon=5_000, seed=5, replications=r),
+                              keep_samples=False) for r in (2, 4))
+        assert np.array_equal(few.rep_mean_aoi, more.rep_mean_aoi[:2])
+        assert np.array_equal(few.rep_mean_paoi, more.rep_mean_paoi[:2])
 
 
 class TestZeroWait:
@@ -193,7 +206,7 @@ class TestFreezePreempt:
     def test_deterministic_freeze_matches_the_freeze_level_means(self, point):
         # k = inf: every freeze lasts exactly 1/lambda, drawn from no stream
         p = FpParams(*point, math.inf)
-        freezes = sim._fp_block(sim._rep_rng(0, 0), p)[0]
+        freezes = sim._fp_block(sim._rep_rng(0, 0), p, np.empty((3, sim._FP_CYCLES)))[0]
         assert np.all(freezes == 1.0 / p.freeze_rate)
         n = 200_000
         res = simulate(SimConfig(p, FP, horizon=n, seed=47, replications=1),
@@ -216,7 +229,7 @@ class _OldLoop:
 
     def __init__(self, mu1, mu2, n, warmup, rng):
         self.n, self.warmup = n, warmup
-        self.events = self._stream(mu1, mu2, n, rng)
+        self.events = self._stream(mu1, mu2, rng)
         self.seq, self.last_seq = 2, 0
         self.gen, self.num = [0.0, 0.0], [1, 2]
         self.delivered, self.generated = [], []
@@ -224,10 +237,10 @@ class _OldLoop:
         self.prev_d = self.prev_u = self.last_gen = 0.0
 
     @staticmethod
-    def _stream(mu1, mu2, n, rng):
+    def _stream(mu1, mu2, rng):
         t = 0.0
         while True:
-            gaps, marks = sim._block(rng, mu1, mu2, n)
+            gaps, marks = sim._block(rng, mu1, mu2, sim._CHUNK)
             for gap, m1 in zip(gaps.tolist(), marks.tolist()):
                 t += gap
                 yield t, 0 if m1 else 1
@@ -299,7 +312,7 @@ class _OldFreezeLoop(_OldLoop):
     @staticmethod
     def _cycle_draws(p, rng):
         while True:
-            yield from zip(*(b.tolist() for b in sim._fp_block(rng, p)))
+            yield from zip(*sim._fp_block(rng, p, np.empty((3, sim._FP_CYCLES))).tolist())
 
     def freeze_preempt(self):
         inf = math.inf
@@ -377,6 +390,8 @@ class TestArrayPolicies:
         with mock.patch.object(sim, "_CHUNK", chunk):
             self.test_match_the_event_rules(policy)
 
+    # small draw blocks carry the state, t and t_prev across many block boundaries
+    @pytest.mark.parametrize("cycles", [sim._FP_CYCLES, 7, 64])
     @given(mu1=st.floats(0.01, 10.0), log_ratio=st.floats(-3.0, 3.0),
            log_freeze=st.floats(-2.0, 3.0), k=st.integers(1, 50),
            n=st.integers(2, 3000), warm=st.floats(0.0, 1.0),
@@ -386,13 +401,14 @@ class TestArrayPolicies:
              seed=1)
     @example(mu1=1.0, log_ratio=0.0, log_freeze=3.0, k=2, n=3000, warm=0.0,
              seed=2)
-    def test_freeze_preempt_matches_the_event_rules(self, mu1, log_ratio,
+    def test_freeze_preempt_matches_the_event_rules(self, cycles, mu1, log_ratio,
                                                     log_freeze, k, n, warm, seed):
         p = FpParams(mu1, mu1 * 10.0 ** log_ratio, 10.0 ** log_freeze, k)
         warmup = int(warm * (n - 2))
-        old = _OldFreezeLoop(p, n, warmup, sim._rep_rng(seed, 0))
-        ref = old.freeze_preempt()
-        d, g, stats = sim._run_fp(p, n, sim._rep_rng(seed, 0))
+        with mock.patch.object(sim, "_FP_CYCLES", cycles):
+            old = _OldFreezeLoop(p, n, warmup, sim._rep_rng(seed, 0))
+            ref = old.freeze_preempt()
+            d, g, stats = sim._run_fp(p, n, sim._rep_rng(seed, 0))
         assert d.tolist() == old.delivered
         assert g.tolist() == old.generated
         assert stats["elapsed"] == old.delivered[-1]
@@ -473,6 +489,23 @@ class TestEmpiricalCdfs:
         with pytest.raises(ValueError, match="peaks_sorted"):
             empirical_paoi_cdf([], [1.0])
 
+    @pytest.mark.parametrize("n", [600, 5_000])
+    def test_aoi_ecdf_matches_the_pooled_sort(self, rng, n):
+        # the grid from merging the sorted starts and peaks, the cdf from the
+        # same sorted runs: bitwise the quantiles of the sorted pooled values
+        # and the public cdf there, ties included (a quarter lattice)
+        from aoidual.sim import SampleSet, SimResult
+
+        u = np.concatenate((rng.integers(0, 24, n // 2) * 0.25, rng.exponential(size=n - n // 2)))
+        length = np.concatenate((rng.integers(1, 24, n // 2) * 0.25,
+                                 rng.exponential(size=n - n // 2)))
+        res = SimResult(0.0, 0.0, math.nan, math.nan, np.zeros(1), np.zeros(1), n,
+                        {}, {}, SampleSet(u, length, u + length))
+        x, cdf = res.ecdf("aoi")
+        pooled = sim._quantile_grid(np.sort(np.concatenate([u, u + length])))
+        assert np.array_equal(x, pooled)
+        assert np.array_equal(cdf, empirical_aoi_cdf(u, length, pooled))
+
     def test_cdf_outputs_monotone_in_unit_interval(self):
         cfg = SimConfig(ZwParams(1.0, 0.2), ZW, horizon=20_000, seed=3)
         res = simulate(cfg)
@@ -485,6 +518,20 @@ class TestKsMachinery:
     def test_table_against_itself_is_zero(self):
         table = summarize(build_fp_model(FpParams(0.5, 0.1, 1.0, 2))).aoi_table
         assert ks_distance(table.grid, table.cdf, table.grid, table.cdf) == 0.0
+
+    def test_refuses_grids_it_cannot_read(self):
+        # a reversed grid of the same curve, a NaN grid point, a cdf of another length
+        x, cdf = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0])
+        nan_x = np.array([0.0, np.nan, 2.0])
+        for bad_x, bad_cdf in ((x[::-1], cdf[::-1]), (nan_x, cdf)):
+            with pytest.raises(ValueError, match="^x1 must"):
+                ks_distance(bad_x, bad_cdf, x, cdf)
+            with pytest.raises(ValueError, match="^x2 must"):
+                ks_distance(x, cdf, bad_x, bad_cdf)
+        with pytest.raises(ValueError, match="^cdf2 holds 2 values"):
+            ks_distance(x, cdf, x, cdf[:2])
+        with pytest.raises(ValueError, match="^cdf1 holds 4 values"):
+            ks_distance(x, np.append(cdf, 1.0), x, cdf)
 
     def test_mismatched_parameters_separate(self):
         t1 = summarize(build_fp_model(FpParams(0.5, 0.1, 1.0, 10))).aoi_table
