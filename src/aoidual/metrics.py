@@ -190,7 +190,8 @@ def summarize(chain: AbsorbingChain, grid_spec: GridSpec = GridSpec()) -> AoiSum
     walk ``init expm(S x)``, so one kernel call evaluates both grids
     against their four stacked weights, and both tables' ``meta`` report
     that shared walk. The result is a pure function of the chain and grid
-    spec; identical inputs give bit-identical output.
+    spec; identical inputs give bit-identical output at a fixed BLAS thread
+    count (at k = 200, one and two threads differ by up to 3.7e-16 of a column's maximum).
     """
     base_meta = dict(chain.meta)
     laws = [_law(chain, kind) for kind in ("aoi", "paoi")]

@@ -6,8 +6,8 @@ nonsingular) started from an initial probability vector ``sigma``, so it
 is held as an :class:`AbsorbingChain` like every policy model. This
 module holds the numerics they all build on: the chain, its assembly
 from a policy's rule table, absorption probabilities, the action of the
-matrix exponential by uniformization, the one law whose densities,
-cdfs and non-central moments ``metrics`` evaluates, and the one check of
+matrix exponential (by uniformization, or scaling and squaring), the one
+law whose densities, cdfs and moments ``metrics`` evaluates, and the one check of
 every count (``_whole``) and rate (``_rate``) the package is given.
 
 All values are immutable after construction and safe to share across
@@ -20,7 +20,7 @@ import copy
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import ceil, exp, factorial, inf, isfinite, lgamma, log, log2
+from math import ceil, factorial, inf, isfinite, ldexp, lgamma, log, log2
 from numbers import Real
 from sys import float_info
 from types import MappingProxyType
@@ -28,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import expm
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
@@ -39,10 +40,6 @@ STRUCT_TOL = 1e-12
 #: Poisson tail mass discarded when truncating the uniformization series.
 EXPM_TAIL = 1e-14
 
-#: Largest Poisson mass of the step matrix that repeated squaring starts
-#: from, so its leading weight exp(-m) stays representable.
-_MAX_STEP_MASS = 200.0
-
 #: Rows of the single-pass walk held and weighted at once.
 _BLOCK = 256
 
@@ -51,10 +48,12 @@ _TILE = 64
 
 #: Costs deciding between a walk and squaring, in flops of a dense product
 #: at 40 GFlop/s (one BLAS thread): a walk step 1-2 us plus 2.1-2.4 ns per
-#: stored entry, a step-matrix term 2-5 us beyond its flops (orders 4-1805).
+#: stored entry, a squaring 2-7 us beyond its flops (its diagonal reset too),
+#: and scipy's Padé step 6-21 squarings (least squares in logs, orders 7-455).
 _VECTOR_COST = 5e4
 _ENTRY_COST = 100.0
-_PRODUCT_COST = 1e5
+_PRODUCT_COST = 2e5
+_PADE_PRODUCTS = 12.0
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
@@ -464,39 +463,26 @@ def _poisson_tail(mass, left, right, log_factorial=None):
     return geometric(right + 1, mass / (right + 2.0)) + below
 
 
-def _step(X: np.ndarray, P: np.ndarray, mass: float, terms: int) -> np.ndarray:
-    """The Poisson(``mass``)-weighted sum of ``X P^j`` for ``j <= terms``."""
-    weight = exp(-mass)
-    term = X
-    acc = weight * X
-    for j in range(1, terms + 1):
-        term = term @ P
-        weight *= mass / j
-        acc = acc + weight * term
-    return acc
-
-
-def _squaring(P, masses: np.ndarray, v: np.ndarray):
-    """``v expm(S x)`` at each mass ``rate * x`` from a step matrix squared.
-
-    The step matrix of mass ``m / 2^s <= _MAX_STEP_MASS`` is a Poisson
-    series in ``P``, made dense here, truncated at ``EXPM_TAIL / 2^s`` so
-    that its ``2^s``-th power is within ``EXPM_TAIL``. The cost is
-    ``O(log(m))`` dense products per point, independent of the mass.
-    Returns the rows and the largest discarded Poisson mass.
-    """
-    P = P.toarray()
-    rows, tail = [], 0.0
-    for mass in masses:
-        s = max(0, ceil(log2(mass / _MAX_STEP_MASS)))
-        h = mass / 2.0 ** s
-        terms = _length(_poisson_window(h, EXPM_TAIL / 2.0 ** s)[1])
-        E = _step(np.eye(P.shape[0]), P, h, terms)
-        for _ in range(s):
+def _squaring(S, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v expm(S x)`` at each point ``x`` by scaling and squaring (Al-Mohy and
+    Higham 2009): scipy's Padé step at ``S x / 2^s``, of 1-norm at most one,
+    squared ``s`` times, so one Padé step and ``O(log(||S x||))`` dense products
+    per point. For an upper triangular ``S`` (every policy chain, in visiting
+    order) each power's diagonal is reset to its exact ``exp(diag(S) x 2^(j - s))``,
+    where the squarings' rounding would otherwise double each time."""
+    S = S.toarray()
+    diag, upper = S.diagonal(), not np.tril(S, -1).any()
+    log_norm = log2(np.linalg.norm(S, 1))
+    rows = []
+    for x in xs:
+        s = max(0, ceil(log_norm + log2(x)))
+        E = expm(S * ldexp(x, -s))
+        for j in range(1, s + 1):
             E = E @ E
+            if upper:
+                np.fill_diagonal(E, np.exp(diag * ldexp(x, j - s)))
         rows.append(v @ E)
-        tail = max(tail, 2.0 ** s * float(_poisson_tail(h, 0, terms)))
-    return np.array(rows), tail
+    return np.array(rows)
 
 
 def _single_pass(P, masses: np.ndarray, v: np.ndarray, W):
@@ -548,18 +534,17 @@ def _prefer_squaring(mass: float, points: int, order: int, nnz: int) -> bool:
     """Whether squaring is cheaper than one walk, in flop equivalents.
 
     A walk takes about ``mass`` steps, each a fixed cost plus a cost per
-    stored entry; squaring takes a few hundred dense products of order
-    ``order`` per point, each a fixed cost plus its flops. Only a huge mass
-    at few points and a small order tips the balance to squaring. The costs
-    are compared in floating point, since a huge mass overflows any count.
+    stored entry; squaring takes one Padé step and about ``log2(2 mass)``
+    dense products of order ``order`` per point, each a fixed cost plus its
+    flops. Only a large mass at few points and a small order tips the
+    balance to squaring. The costs are compared in floating point, since a
+    huge mass overflows any count.
     """
-    if mass <= _MAX_STEP_MASS:
+    if not points:
         return False
-    s = ceil(log2(mass / _MAX_STEP_MASS))
     walk = _poisson_window(mass, EXPM_TAIL)[1] * (_VECTOR_COST + _ENTRY_COST * nnz)
-    terms = _poisson_window(_MAX_STEP_MASS, EXPM_TAIL / 2.0 ** s)[1]
-    square = points * (terms + s) * (_PRODUCT_COST + 2.0 * order ** 3)
-    return square < walk
+    products = _PADE_PRODUCTS + max(0.0, log2(2.0 * mass))
+    return points * products * (_PRODUCT_COST + 2.0 * order ** 3) < walk
 
 
 def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
@@ -572,22 +557,23 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
     rather than with the number of points; with ``W`` only the projections
     of the walk onto the columns of ``W`` are kept, so laws of one ``v``
     share a walk by stacking their weights. For few points at a huge mass
-    a step matrix is squared instead; the choice depends only on the mass,
-    the number of points and the order of ``S``, which may be dense or
-    sparse.
+    each point is scaled and squared from scipy's Padé step instead; the
+    choice depends only on the mass, the number of points and the order
+    of ``S``, which may be dense or sparse.
 
     Returns an array of shape ``(len(xs), W.shape[1])``, or
     ``(len(xs), len(v))`` without ``W``. With ``full_output`` it returns
     ``(values, info)``, where ``info`` names the ``kernel``
     (``"single_pass"`` or ``"squaring"``) and gives the ``unif_mass``
     ``rate * max(xs)`` and ``poisson_tail``, a bound on the Poisson mass
-    discarded at any point, weighed only over its window and its tile's.
+    the walk discarded at any point, weighed only over its window and its
+    tile's; 0 for squaring, which drops no series.
 
     Raises
     ------
     RuntimeError
-        If the discarded Poisson mass exceeds ``EXPM_TAIL``, or the series
-        needs more terms than an array can index.
+        If the walk's discarded Poisson mass exceeds ``EXPM_TAIL``, or it
+        needs more steps than an array can index.
     """
     S = S if sparse.issparse(S) else np.asarray(S, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -619,7 +605,7 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
                                 P.count_nonzero())
     tail = 0.0
     if squaring:
-        rows, tail = _squaring(P, masses[zero:], v)
+        rows = _squaring(S, xs[order[zero:]], v)
         out[order[zero:]] = rows if W is None else rows @ W
     elif zero < masses.shape[0]:
         out[order[zero:]], tail = _single_pass(P, masses[zero:], v, W)

@@ -157,19 +157,19 @@ class TestExpmAction:
         x = 3.0
         assert phasetype._prefer_squaring(1e4 * x, 1, 4, np.count_nonzero(S))
         seen = []
-        step = phasetype._step
+        expm = phasetype.expm
 
-        def spy(u, *args):
-            seen.append(u.ndim)
-            return step(u, *args)
+        def spy(A):
+            seen.append(A.shape)
+            return expm(A)
 
-        monkeypatch.setattr(phasetype, "_step", spy)
+        monkeypatch.setattr(phasetype, "expm", spy)
         got, info = expm_action_grid(S, [x], v, full_output=True)
-        assert seen == [2]
+        assert seen == [(4, 4)]  # one matrix step for the one point
         np.testing.assert_allclose(got[0], v @ scipy.linalg.expm(S * x),
                                    rtol=1e-10, atol=1e-15)
         assert info["kernel"] == "squaring" and info["unif_mass"] == 1e4 * x
-        assert 0.0 <= info["poisson_tail"] <= phasetype.EXPM_TAIL
+        assert info["poisson_tail"] == 0.0
 
     def test_pointwise_far_tail_squares(self, monkeypatch):
         # one cdf value at 40 means of F/P(0.5, 0.1, 100, 10): a mass of
@@ -190,16 +190,20 @@ class TestExpmAction:
         assert kernels == ["squaring"]
         assert 1.0 - 1e-9 <= cdf <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("x", [1e17, 1e20, 1e100])
+    @pytest.mark.parametrize("x", [1e17, 1e20, 1e100, 1e300])
     def test_mass_beyond_int64_evaluates(self, x):
         # a window bound above 2**63 cannot be cast to an integer count;
         # the kernel compares the costs in floating point and squares
+        # (at 1e300 about a thousand squarings of one Padé step)
         assert aoi_cdf(build_zw_amc(ZwParams(1.0, 1.0)), x) == pytest.approx(1.0, abs=1e-12)
 
-    def test_unindexable_window_raises(self):
-        # at this mass even squaring's step window is not a finite count
-        with pytest.raises(RuntimeError, match="more than an array can index"):
-            aoi_cdf(build_zw_amc(ZwParams(1.0, 1.0)), 1e300)
+    def test_walk_beyond_int64_steps_raises(self):
+        from aoidual import phasetype
+
+        assert phasetype._length(2.0 ** 62) == 2 ** 62
+        for bound in (2.0 ** 63, math.inf, math.nan):
+            with pytest.raises(RuntimeError, match="more than an array can index"):
+                phasetype._length(bound)
 
     @pytest.mark.parametrize("scale, xs, kernel", [
         (1.0, [0.0, 0.2, 0.2, 1.5, 6.0, 20.0, 0.0, 6.0], "single_pass"),
@@ -309,9 +313,8 @@ class TestExpmAction:
         window = phasetype._poisson_window
         monkeypatch.setattr(phasetype, "_poisson_window", narrow)
         S = np.array([[-2.0, 1.0], [0.5, -1.0]])
-        for xs in ([1.0, 5.0], [400.0]):  # single pass, then squaring
-            with pytest.raises(RuntimeError, match="EXPM_TAIL"):
-                expm_action_grid(S, xs, np.array([1.0, 0.0]))
+        with pytest.raises(RuntimeError, match="EXPM_TAIL"):
+            expm_action_grid(S, [1.0, 5.0], np.array([1.0, 0.0]))
 
     def test_nonnegative_output_for_nonnegative_input(self, rng):
         S = random_subgenerator(rng, 6, 10.0)
@@ -338,6 +341,32 @@ class TestExpmAction:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             expm_action_grid(np.array([[-1.0]]), [-0.5], np.array([1.0]))
+
+
+class TestSquaringOracle:
+    """The squaring kernel at stiff freeze rates against a 40-digit
+    ``mpmath.expm`` and against the exact preemption-only law."""
+
+    @pytest.mark.parametrize("x", [0.3, 17.9, 142.0])
+    @pytest.mark.parametrize("lam", [1e4, 1e6, 1e9])
+    def test_transient_mass_matches_a_40_digit_expm(self, lam, x):
+        mp = pytest.importorskip("mpmath")
+        chain = build_fp_model(FpParams(0.5, 0.1, lam, 1))
+        got, info = expm_action_grid(chain.S_csc, [x], chain.init,
+                                     np.ones((chain.order, 1)), full_output=True)
+        assert info["kernel"] == "squaring" and info["poisson_tail"] == 0.0
+        with mp.workdps(40):
+            row = mp.matrix([chain.init.tolist()]) * mp.expm(mp.matrix(chain.S.tolist()) * x)
+            expected = float(mp.fsum(row[0, j] for j in range(chain.order)))
+        assert got[0, 0] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [10, 50])
+    def test_densities_at_a_huge_freeze_rate_are_the_preemption_only_law(self, k):
+        chain = build_fp_model(FpParams(0.5, 0.1, 1e9, k))
+        limit = build_fp_model(FpParams(0.5, 0.1, math.inf, 1))
+        xs = np.array([0.5, 5.5, 30.5])
+        for law in (aoi_pdf, paoi_pdf):
+            np.testing.assert_allclose(law(chain, xs), law(limit, xs), rtol=1e-8, atol=0)
 
 
 class TestFig3Kernel:

@@ -355,6 +355,8 @@ class TestArrayPolicies:
     fresh flags.
     """
 
+    # small chunks put many chunk and block boundaries in every case
+    @pytest.mark.parametrize("chunk", [sim._CHUNK, 7, 64])
     @pytest.mark.parametrize("policy", [ZW, FP_PREEMPT_ONLY])
     @given(mu1=st.floats(0.01, 10.0), log_ratio=st.floats(-3.0, 3.0),
            n=st.integers(2, 3000), warm=st.floats(0.0, 1.0),
@@ -362,16 +364,18 @@ class TestArrayPolicies:
     @example(mu1=1.0, log_ratio=0.0, n=50, warm=0.0, seed=0)
     @example(mu1=1.0, log_ratio=-3.0, n=3000, warm=0.0, seed=1)
     @example(mu1=1.0, log_ratio=0.0, n=70_000, warm=0.0, seed=2)  # past one full chunk
-    def test_match_the_event_rules(self, policy, mu1, log_ratio, n, warm, seed):
+    def test_match_the_event_rules_across_chunks(self, policy, chunk, mu1, log_ratio, n,
+                                                 warm, seed):
         mu2 = mu1 * 10.0 ** log_ratio
         warmup = int(warm * (n - 2))
-        old = _OldLoop(mu1, mu2, n, warmup, sim._rep_rng(seed, 0))
-        if policy == ZW:
-            ref = old.zero_wait()
-            d, g, stats = sim._run_zw(mu1, mu2, n, sim._rep_rng(seed, 0))
-        else:
-            ref = old.preempt_only()
-            d, g, stats = sim._run_po(mu1, mu2, n, sim._rep_rng(seed, 0))
+        with mock.patch.object(sim, "_CHUNK", chunk):
+            old = _OldLoop(mu1, mu2, n, warmup, sim._rep_rng(seed, 0))
+            if policy == ZW:
+                ref = old.zero_wait()
+                d, g, stats = sim._run_zw(mu1, mu2, n, sim._rep_rng(seed, 0))
+            else:
+                ref = old.preempt_only()
+                d, g, stats = sim._run_po(mu1, mu2, n, sim._rep_rng(seed, 0))
         assert d.tolist() == old.delivered
         assert g.tolist() == old.generated
         assert stats["elapsed"] == old.delivered[-1]
@@ -382,13 +386,6 @@ class TestArrayPolicies:
         assert u.tolist() == old.u
         assert length.tolist() == old.length
         assert peak.tolist() == old.peak
-
-    @pytest.mark.parametrize("chunk", [7, 64])
-    @pytest.mark.parametrize("policy", [ZW, FP_PREEMPT_ONLY])
-    def test_match_the_event_rules_across_chunks(self, policy, chunk):
-        # small chunks put many chunk and block boundaries in every case
-        with mock.patch.object(sim, "_CHUNK", chunk):
-            self.test_match_the_event_rules(policy)
 
     # small draw blocks carry the state, t and t_prev across many block boundaries
     @pytest.mark.parametrize("cycles", [sim._FP_CYCLES, 7, 64])
