@@ -479,8 +479,9 @@ def _squaring(S, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         E = expm(S * ldexp(x, -s))
         for j in range(1, s + 1):
             E = E @ E
-            if upper:
-                np.fill_diagonal(E, np.exp(diag * ldexp(x, j - s)))
+            if upper:  # an exponent past the float range is -inf, and its exp 0
+                with np.errstate(over="ignore"):
+                    np.fill_diagonal(E, np.exp(diag * ldexp(x, j - s)))
         rows.append(v @ E)
     return np.array(rows)
 
@@ -595,14 +596,15 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
         raise ValueError("grid points must be nonnegative")
     P, rate = _uniformized(S)
     order = np.argsort(xs, kind="stable")
-    masses = rate * xs[order]
+    with np.errstate(over="ignore"):  # past the float range no walk runs; squaring does
+        masses = rate * xs[order]
     at_zero = v if W is None else v @ W
     out = np.empty((xs.shape[0], at_zero.shape[0]))
     zero = int(np.searchsorted(masses, 0.0, side="right"))
     out[order[:zero]] = at_zero
     mass = float(masses[-1]) if zero < masses.shape[0] else 0.0
-    squaring = _prefer_squaring(mass, masses.shape[0] - zero, S.shape[0],
-                                P.count_nonzero())
+    squaring = mass == inf or _prefer_squaring(mass, masses.shape[0] - zero, S.shape[0],
+                                               P.count_nonzero())
     tail = 0.0
     if squaring:
         rows = _squaring(S, xs[order[zero:]], v)

@@ -29,14 +29,15 @@ replication index, so results are bit-reproducible and replications
 could run in any order. Draws come in fixed-size blocks, so a shorter run
 is a prefix of a longer one: per ``_CHUNK`` events the merged stream's gaps,
 then marks; per ``_FP_CYCLES`` cycles, into reused buffers, the gamma
-freezes (none at ``k = inf``), then each server's services. The age cdf
-and KS distance sort the starts and the peaks once each, then merge them.
+freezes (none at ``k = inf``), then each server's services. One checked sort
+of a sample set's starts and ends serves both cdfs and both KS distances.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import inf, nan, sqrt
 from operator import add
@@ -104,11 +105,15 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Pooled per-cycle records: starting age, cycle length, peak age."""
+    """Pooled per-cycle records: starting age, cycle length, peak age, sorted once on first use."""
 
     u: np.ndarray
     length: np.ndarray
     peak: np.ndarray
+
+    @cached_property
+    def _sorted(self):
+        return _sorted_cycles(self.u, self.length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +147,10 @@ class SimResult:
 
     def ecdf(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Empirical cdf ``(x, cdf)`` of ``kind`` at ``CDF_POINTS`` quantiles."""
-        s = _samples(self, kind)
+        us, ps, total = _samples(self, kind)
         if kind == "paoi":
-            peaks = np.sort(s.peak)
-            x = _quantile_grid(peaks)
-            return x, empirical_paoi_cdf(peaks, x)
-        us, ps, total = _sorted_cycles(s.u, s.length)
+            x = _quantile_grid(ps)
+            return x, np.searchsorted(ps, x, side="right") / ps.shape[0]
         # a stable sort of two sorted runs is one merge (timsort)
         x = _quantile_grid(np.sort(np.concatenate((us, ps)), kind="stable"))
         return x, _time_below(us, ps, total, x)
@@ -157,13 +160,13 @@ class SimResult:
         _io.write_csv(path, ["x", "cdf"], self.ecdf(kind))
 
 
-def _samples(result: SimResult, kind) -> SampleSet:
-    """The samples of ``result``, checking that they and ``kind`` exist."""
+def _samples(result: SimResult, kind):
+    """The sorted samples of ``result``, checking that they and ``kind`` exist."""
     if kind not in ("aoi", "paoi"):
         raise ValueError("distribution kind must be 'aoi' or 'paoi'")
     if result.samples is None:
         raise ValueError("result carries no samples; rerun with keep_samples")
-    return result.samples
+    return result.samples._sorted
 
 
 #: Number of quantile points kept in serialized empirical cdfs.
@@ -363,9 +366,15 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
     Uses the exact piecewise-linear cycle geometry: a cycle starting at
     age ``u`` with length ``L`` spends ``clip(x - u, 0, L)`` time units
     at or below ``x``. The samples must match in shape and hold no NaN;
-    lengths must be nonnegative, with a positive total.
+    lengths must be nonnegative, with a positive total. The points must
+    hold no NaN; the cdf is 0 at ``-inf`` and 1 at ``inf``.
     """
-    return _time_below(*_sorted_cycles(u, length), np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("xs holds a NaN point")
+    finite = np.isfinite(xs)
+    cdf = _time_below(*_sorted_cycles(u, length), np.where(finite, xs, 0.0))
+    return np.where(finite, cdf, xs > 0)
 
 
 def _time_below(us, ps, total, xs):
@@ -379,7 +388,7 @@ def _time_below(us, ps, total, xs):
 
 
 def empirical_paoi_cdf(peaks_sorted, xs) -> np.ndarray:
-    """Empirical cdf of the recorded peaks, at least one, sorted ascending, at each ``x``."""
+    """Empirical cdf of the recorded peaks, at least one, sorted ascending, at non-NaN ``xs``."""
     peaks_sorted = np.asarray(peaks_sorted, dtype=float)
     if np.isnan(peaks_sorted).any():
         raise ValueError("peaks_sorted holds a NaN sample")
@@ -388,6 +397,8 @@ def empirical_paoi_cdf(peaks_sorted, xs) -> np.ndarray:
     if peaks_sorted.size == 0:
         raise ValueError("peaks_sorted holds no peak")
     xs = np.asarray(xs, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("xs holds a NaN point")
     return np.searchsorted(peaks_sorted, xs, side="right") / peaks_sorted.shape[0]
 
 
@@ -446,9 +457,7 @@ def simulate(cfg: SimConfig, keep_samples: bool = True) -> SimResult:
 
 def _quantile_grid(sorted_values: np.ndarray) -> np.ndarray:
     n = sorted_values.shape[0]
-    if n <= CDF_POINTS:
-        return np.unique(sorted_values)
-    idx = np.linspace(0, n - 1, CDF_POINTS).round().astype(int)
+    idx = np.linspace(0, n - 1, min(n, CDF_POINTS)).round().astype(int)
     return np.unique(sorted_values[idx])
 
 
@@ -481,17 +490,15 @@ def ks_against_table(result: SimResult, table: DistributionTable) -> float:
     breakpoint of either. The analytic cdf is interpolated from its table.
     """
     kind = table.meta.get("kind")
-    s = _samples(result, kind)
+    us, ps, total = _samples(result, kind)
     if kind == "paoi":
-        peaks = np.sort(s.peak)
-        steps = np.arange(peaks.shape[0] + 1) / peaks.shape[0]
-        fa = _interp_cdf(table, peaks)
-        fe_grid = empirical_paoi_cdf(peaks, table.grid)
+        steps = np.arange(ps.shape[0] + 1) / ps.shape[0]
+        fa = _interp_cdf(table, ps)
+        fe_grid = steps[np.searchsorted(ps, table.grid, side="right")]
         return max(float(np.max(steps[1:] - fa)), float(np.max(fa - steps[:-1])),
-                   float(np.max(np.abs(_interp_cdf(table, table.grid) - fe_grid))))
+                   float(np.max(np.abs(table.cdf - fe_grid))))
     # Time at or below x: x - u summed over starts u <= x less over peaks;
     # a stable merge of starts (+1), peaks (-1), grid (0) accumulates both.
-    us, ps, total = _sorted_cycles(s.u, s.length)
     z = np.concatenate((us, ps, table.grid))
     order = np.argsort(z, kind="stable")
     z = z[order]

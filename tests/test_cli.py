@@ -106,13 +106,19 @@ class TestAnalyze:
                     "--grid-points", "20", "--out", str(tmp_path / "x")]) == 1
         assert "EXPM_TAIL" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid_max", ["1e19", "1e300"])
-    def test_grid_end_beyond_int64_exits_zero(self, tmp_path, grid_max):
-        # a Poisson mass above 2**63 picks squaring instead of a walk
-        # with overflowed bounds
+    @pytest.mark.parametrize("model, grid_max", [
+        (["--policy", "zw", "--mu1", "1", "--mu2", "1"], "1e19"),
+        (["--policy", "zw", "--mu1", "1", "--mu2", "1"], "1e300"),
+        (["--policy", "fp", "--mu1", "0.5", "--mu2", "0.1", "--lambda", "1e9", "--k", "1"],
+         "1e300"),
+    ], ids=["zw-1e19", "zw-1e300", "fp-mass-past-float-range"])
+    def test_grid_end_beyond_int64_exits_zero(self, tmp_path, model, grid_max):
+        # a Poisson mass above 2**63, or past the float range (1e9 * 1e300),
+        # picks squaring instead of a walk with overflowed bounds; with
+        # RuntimeWarnings as errors, no overflow warns
         out = tmp_path / "far"
-        assert run(["analyze", "--policy", "zw", "--mu1", "1", "--mu2", "1",
-                    "--grid-max", grid_max, "--grid-points", "5", "--out", str(out)]) == 0
+        assert run(["analyze", *model, "--grid-max", grid_max, "--grid-points", "5",
+                    "--out", str(out)]) == 0
         for name in ("aoi_table.csv", "paoi_table.csv"):
             cdf = [float(row["cdf"]) for row in read_csv(out / name)]
             assert cdf[0] == 0.0 and 0.0 < cdf[1] < 1e-3
@@ -613,6 +619,14 @@ def _pyproject():
         return tomllib.load(fh)
 
 
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src_dir = os.path.dirname(os.path.dirname(aoidual.__file__))
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_entry_point_installed():
     """The ``aoidual`` command is wired to ``aoidual.cli:main`` and
     ``--version`` exits 0 in a fresh interpreter, without an install."""
@@ -623,10 +637,7 @@ def test_entry_point_installed():
     assert getattr(importlib.import_module(module_name), attr) is main
     assert aoidual.__version__ == project["version"]
 
-    src_dir = os.path.dirname(os.path.dirname(aoidual.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    env = _fresh_env()
     proc = subprocess.run([sys.executable, "-m", "aoidual", "--version"],
                           capture_output=True, text=True, env=env,
                           timeout=60)
@@ -637,16 +648,28 @@ def test_entry_point_installed():
 def test_import_loads_neither_scipy_special_nor_optimize():
     """``import aoidual`` (and its CLI) in a fresh interpreter stays off ``scipy.special``
     and ``scipy.optimize``: each would add tens of milliseconds to every start."""
-    src_dir = os.path.dirname(os.path.dirname(aoidual.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    env = _fresh_env()
     probe = ("import sys, aoidual, aoidual.cli; print(' '.join(sorted(m for m in sys.modules"
              " if m.startswith(('scipy.special', 'scipy.optimize')))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_analyze_is_bit_identical_at_one_blas_thread(tmp_path):
+    """Two ``analyze`` runs in fresh interpreters pinned to one BLAS thread write
+    byte-identical tables and summaries (bit identity needs a fixed thread count)."""
+    env = _fresh_env(**dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    argv = [sys.executable, "-m", "aoidual", "analyze", "--policy", "fp", "--mu1", "0.5",
+            "--mu2", "0.1", "--lambda", "1", "--k", "200", "--grid-points", "200"]
+    for name in ("a", "b"):
+        proc = subprocess.run([*argv, "--out", str(tmp_path / name)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("summary.json", "aoi_table.csv", "paoi_table.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 @pytest.mark.skipif(shutil.which("aoidual") is None,

@@ -486,6 +486,18 @@ class TestEmpiricalCdfs:
         with pytest.raises(ValueError, match="peaks_sorted"):
             empirical_paoi_cdf([], [1.0])
 
+    def test_cdfs_at_non_finite_points(self):
+        # 0 at -inf and 1 at inf, finite points as without them; NaN refused
+        u, length, peaks = [0.5, 1.0, 0.2], [1.0, 0.5, 2.0], [1.5, 1.5, 2.2]
+        finite = [0.3, 1.0, 1.7]
+        for cdf in (lambda xs: empirical_aoi_cdf(u, length, xs),
+                    lambda xs: empirical_paoi_cdf(peaks, xs)):
+            got = cdf([-math.inf, *finite, math.inf])
+            assert got[0] == 0.0 and got[-1] == 1.0
+            assert np.array_equal(got[1:-1], cdf(finite))
+            with pytest.raises(ValueError, match="^xs holds a NaN"):
+                cdf([math.nan, 1.0])
+
     @pytest.mark.parametrize("n", [600, 5_000])
     def test_aoi_ecdf_matches_the_pooled_sort(self, rng, n):
         # the grid from merging the sorted starts and peaks, the cdf from the
@@ -502,6 +514,31 @@ class TestEmpiricalCdfs:
         pooled = sim._quantile_grid(np.sort(np.concatenate([u, u + length])))
         assert np.array_equal(x, pooled)
         assert np.array_equal(cdf, empirical_aoi_cdf(u, length, pooled))
+
+    def test_both_laws_read_one_sort(self):
+        # both ecdfs and both KS distances check and sort the cycles once per
+        # sample set, and the peak law reads the sorted ends: with no `peak`
+        # it is unchanged, and at the default warm-up it is the sorted peaks'
+        from dataclasses import replace
+
+        from aoidual.sim import SampleSet
+
+        p = FpParams(0.5, 0.1, 1.0, 2)
+        summary = summarize(build_fp_model(p))
+        res = simulate(SimConfig(p, FP, horizon=5_000, seed=2))
+        blind = replace(res, samples=SampleSet(res.samples.u, res.samples.length, None))
+
+        def laws(r):
+            return (*r.ecdf("aoi"), *r.ecdf("paoi"), ks_against_table(r, summary.aoi_table),
+                    ks_against_table(r, summary.paoi_table))
+
+        with mock.patch.object(sim, "_sorted_cycles", wraps=sim._sorted_cycles) as spy:
+            seen, seen_blind = laws(res), laws(blind)
+        assert spy.call_count == 2
+        for a, b in zip(seen, seen_blind):
+            assert np.array_equal(a, b)
+        x, cdf = seen[2:4]
+        assert np.array_equal(cdf, empirical_paoi_cdf(np.sort(res.samples.peak), x))
 
     def test_cdf_outputs_monotone_in_unit_interval(self):
         cfg = SimConfig(ZwParams(1.0, 0.2), ZW, horizon=20_000, seed=3)
