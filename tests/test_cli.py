@@ -387,6 +387,7 @@ class TestOptimize:
         payload = json.loads((out / "optimum.json").read_text())
         assert payload["lambda_star"] > 0
         assert payload["boundary_hit"] is False
+        assert payload["lambda_star"] in [rate for rate, _ in payload["trace"]]
         assert "lambda_star=" in capsys.readouterr().out
 
     def test_boundary_case_reported(self, tmp_path):
@@ -432,9 +433,24 @@ class TestOptimize:
                     "--out", str(tmp_path / "x")]) == 1
         assert "cycle chain" in capsys.readouterr().err
 
-    def test_numerical_failure_exits_one(self, tmp_path):
+    def test_numerical_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        import functools
+
+        import aoidual.optimize as optimize_module
+
+        monkeypatch.setattr(optimize_module, "golden_section_min",
+                            functools.partial(optimize_module.golden_section_min, max_evals=5))
         assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "1",
-                    "--rtol", "1e-300", "--out", str(tmp_path / "x")]) == 1
+                    "--out", str(tmp_path / "x")]) == 1
+        assert "did not contract" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rtol", ["1e-17", "1e-300"])
+    def test_tolerance_below_float_resolution_exits_zero(self, tmp_path, rtol):
+        out = tmp_path / "x"
+        assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "50",
+                    "--rtol", rtol, "--out", str(out)]) == 0
+        payload = json.loads((out / "optimum.json").read_text())
+        assert payload["evaluations"] == len(payload["trace"]) < 100
 
 
 class TestFigure:

@@ -1,4 +1,4 @@
-"""Golden-section search and the freeze-rate optimizer."""
+"""Golden-section search with parabolic steps, and the freeze-rate optimizer."""
 
 import math
 
@@ -21,10 +21,11 @@ from aoidual import (
 
 class TestGoldenSection:
     def test_quadratic(self):
-        x, f, _ = golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0,
-                                     tol=1e-8)
+        x, f, evals = golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0,
+                                         tol=1e-8)
         assert abs(x - 2.0) <= 1e-8
         assert f <= 1e-15
+        assert evals <= 8  # a parabolic step lands on a quadratic's vertex
 
     def test_nonsmooth_unimodal(self):
         x, _, _ = golden_section_min(lambda x: abs(x - 0.3), 0.0, 1.0,
@@ -56,11 +57,12 @@ class TestOptimizeFreeze:
         assert result.f_star == pytest.approx(0.2894, abs=0.002)
         assert not result.boundary_hit
         assert result.bracket[0] < result.lambda_star < result.bracket[1]
-        assert result.evaluations <= 500
+        assert result.evaluations <= 16
 
     def test_reported_peak_reduction(self):
         result = optimize_freeze(1.0, 0.7943, 50)
         assert result.reduction_pct == pytest.approx(13.60, abs=0.5)
+        assert result.evaluations <= 16
         assert result.zw_aoi == pytest.approx(
             zw_closed_form_means(ZwParams(1.0, 0.7943)).mean_aoi, rel=1e-12)
 
@@ -88,6 +90,8 @@ class TestOptimizeFreeze:
     def test_bracket_and_rtol_keep_their_order_rules(self):
         with pytest.raises(ValueError, match="lo < hi"):
             optimize_freeze(1.0, 1.0, 1, bracket=(2.0, 1.0))
+        with pytest.raises(ValueError, match=r"log\(lo\) < log\(hi\)"):  # one ulp apart
+            optimize_freeze(1.0, 1.0, 1, bracket=(3.0, math.nextafter(3.0, 4.0)))
         with pytest.raises(ValueError, match="rtol"):
             optimize_freeze(1.0, 1.0, 1, rtol=1.0)
 
@@ -97,7 +101,31 @@ class TestOptimizeFreeze:
         calls = []
         monkeypatch.setattr(optimize_module, "fp_means", lambda p: calls.append(p) or fp_means(p))
         result = optimize_freeze(1.0, 1.0, 5, bracket=(50.0, 100.0))  # searched twice
-        assert result.evaluations == len(calls)
+        assert result.evaluations == len(calls) == len(result.trace)
+        assert [rate for rate, _ in result.trace] == [p.freeze_rate for p in calls]
+
+    def test_trace_best_is_the_searched_optimum(self):
+        result = optimize_freeze(1.0, 0.5, 10)
+        rate, value = min(result.trace, key=lambda pair: pair[1])
+        # the first lowest mean age, before the chain check replaces it
+        assert rate == result.lambda_star
+        assert value == fp_means(FpParams(1.0, 0.5, rate, 10)).mean_aoi
+
+    @pytest.mark.parametrize("mu1,mu2,k", [(1.0, 1.0, 50), (1.0, 0.7943, 50),
+                                           (1.0, 0.01, 50), (1.0, 0.9, 1),
+                                           (0.5, 0.1, math.inf)])
+    def test_optimum_beats_its_neighbours(self, mu1, mu2, k):
+        star = optimize_freeze(mu1, mu2, k).lambda_star
+        at_star, lower, upper = (fp_means(FpParams(mu1, mu2, star * s, k)).mean_aoi
+                                 for s in (1.0, 1.0 - 1e-3, 1.0 + 1e-3))
+        assert lower >= at_star and upper >= at_star
+
+    def test_tolerance_below_float_resolution_stops(self):
+        # the float-resolution floor stops the search, not the evaluation cap
+        fine = optimize_freeze(1.0, 1.0, 50, rtol=1e-12)
+        finest = optimize_freeze(1.0, 1.0, 50, rtol=1e-17)
+        assert finest.evaluations < 100
+        assert finest.lambda_star == pytest.approx(fine.lambda_star, rel=1e-12)
 
     def test_optimum_beats_zero_wait(self):
         for mu2, k in ((1.0, 1), (0.5, 10), (0.1, 50)):
