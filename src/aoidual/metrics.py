@@ -53,7 +53,7 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Tabulated pdf/cdf on a grid (CSV only), with the first two moments."""
+    """Tabulated finite pdf/cdf on a grid (CSV only), with the first two moments."""
 
     grid: np.ndarray = field(metadata=_io.NOT_JSON)
     pdf: np.ndarray = field(metadata=_io.NOT_JSON)
@@ -69,6 +69,9 @@ class DistributionTable:
         cdf = np.asarray(self.cdf, dtype=float)
         if not (grid.shape == pdf.shape == cdf.shape):
             raise ValueError("grid, pdf and cdf must have equal shapes")
+        for name, arr in (("grid", grid), ("pdf", pdf), ("cdf", cdf)):
+            if not np.isfinite(arr).all():  # NaN fails every check below unseen
+                raise ValueError(f"{name} holds a non-finite entry")
         if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be nonnegative and strictly increasing")
         if np.any(pdf < 0):

@@ -30,7 +30,9 @@ could run in any order. Draws come in fixed-size blocks, so a shorter run
 is a prefix of a longer one: per ``_CHUNK`` events the merged stream's gaps,
 then marks; per ``_FP_CYCLES`` cycles, into reused buffers, the gamma
 freezes (none at ``k = inf``), then each server's services. One checked sort
-of a sample set's starts and ends serves both cdfs and both KS distances.
+of a sample set's starts and ends, with their prefix sums, serves both cdfs
+and both KS distances; these evaluate a coarse subset of the breakpoints,
+and the rest only in gaps whose bound comes near the coarse maximum.
 """
 
 from __future__ import annotations
@@ -147,13 +149,14 @@ class SimResult:
 
     def ecdf(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Empirical cdf ``(x, cdf)`` of ``kind`` at ``CDF_POINTS`` quantiles."""
-        us, ps, total = _samples(self, kind)
+        view = _samples(self, kind)
+        us, ps, *_ = view
         if kind == "paoi":
             x = _quantile_grid(ps)
             return x, np.searchsorted(ps, x, side="right") / ps.shape[0]
         # a stable sort of two sorted runs is one merge (timsort)
         x = _quantile_grid(np.sort(np.concatenate((us, ps)), kind="stable"))
-        return x, _time_below(us, ps, total, x)
+        return x, _time_below(view, x)
 
     def cdf_to_csv(self, kind: str, path) -> None:
         """Write the empirical cdf of ``kind``, ``"aoi"`` or ``"paoi"``."""
@@ -171,6 +174,7 @@ def _samples(result: SimResult, kind):
 
 #: Number of quantile points kept in serialized empirical cdfs.
 CDF_POINTS = 2048
+_STRIDE = 256  # sorted samples per coarse gap of a KS distance
 
 
 def _rep_rng(seed: int, rep: int):
@@ -345,7 +349,8 @@ def _cycles(delivered, generated, warmup):
 
 
 def _sorted_cycles(u, length):
-    """Checked per-cycle starting ages and lengths: sorted starts and peaks, total length."""
+    """Checked per-cycle starting ages and lengths: sorted starts and peaks,
+    their prefix sums, each led by 0, and the total length."""
     u, length = np.asarray(u, dtype=float), np.asarray(length, dtype=float)
     if u.shape != length.shape:
         raise ValueError(f"u and length differ in shape: {u.shape} and {length.shape}")
@@ -357,7 +362,8 @@ def _sorted_cycles(u, length):
     total = length.sum()
     if not total > 0:
         raise ValueError("length must hold cycles of positive total length")
-    return np.sort(u), np.sort(u + length), total
+    us, ps = np.sort(u), np.sort(u + length)
+    return us, ps, *(np.concatenate(([0.0], np.cumsum(a))) for a in (us, ps)), total
 
 
 def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
@@ -373,14 +379,13 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
     if np.isnan(xs).any():
         raise ValueError("xs holds a NaN point")
     finite = np.isfinite(xs)
-    cdf = _time_below(*_sorted_cycles(u, length), np.where(finite, xs, 0.0))
+    cdf = _time_below(_sorted_cycles(u, length), np.where(finite, xs, 0.0))
     return np.where(finite, cdf, xs > 0)
 
 
-def _time_below(us, ps, total, xs):
-    """Share of ``total`` spent at or below each ``x``, from sorted starts and peaks."""
-    cum_u = np.concatenate(([0.0], np.cumsum(us)))
-    cum_p = np.concatenate(([0.0], np.cumsum(ps)))
+def _time_below(view, xs):
+    """Share of the total length spent at or below each ``x``, from a sorted view."""
+    us, ps, cum_u, cum_p, total = view
     below_u = np.searchsorted(us, xs, side="right")
     below_p = np.searchsorted(ps, xs, side="right")
     covered = xs * below_u - cum_u[below_u] - (xs * below_p - cum_p[below_p])
@@ -468,7 +473,7 @@ def _interp_cdf(table: DistributionTable, xs: np.ndarray) -> np.ndarray:
 
 def ks_distance(x1, cdf1, x2, cdf2) -> float:
     """Sup distance between two tabulated cdfs on their merged grid; each grid
-    nonempty, nondecreasing and free of NaN, with one cdf value per point."""
+    nonempty, nondecreasing and free of NaN, with one finite cdf value per point."""
     curves = [(np.asarray(x, dtype=float), np.asarray(c, dtype=float))
               for x, c in ((x1, cdf1), (x2, cdf2))]
     for i, (x, cdf) in enumerate(curves, 1):
@@ -476,38 +481,65 @@ def ks_distance(x1, cdf1, x2, cdf2) -> float:
             raise ValueError(f"x{i} must be a nonempty, nondecreasing grid free of NaN")
         if cdf.shape != x.shape:
             raise ValueError(f"cdf{i} holds {cdf.size} values for the {x.size} points of x{i}")
+        if not np.isfinite(cdf).all():
+            raise ValueError(f"cdf{i} holds a non-finite value")
     xs = np.union1d(curves[0][0], curves[1][0])
     f1, f2 = (np.interp(xs, x, cdf, left=0.0, right=float(cdf[-1])) for x, cdf in curves)
     return float(np.max(np.abs(f1 - f2)))
 
 
+def _ranges(lo, hi):
+    """The concatenated ``arange(lo[k], hi[k])`` over ``k``."""
+    return np.arange((hi - lo).sum()) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+
+
 def ks_against_table(result: SimResult, table: DistributionTable) -> float:
     """Exact sup distance between a simulated and an analytic cdf.
 
-    For peaks, the empirical cdf is a step function and both sides of
-    every jump are compared; for the age, the empirical time-fraction
-    cdf is piecewise linear and both curves are compared at every
-    breakpoint of either. The analytic cdf is interpolated from its table.
+    The analytic cdf is interpolated from its table, 0 below its grid. The
+    step cdf of peaks is compared on both sides of every jump and at every
+    grid point, the piecewise-linear age cdf at every breakpoint of either
+    curve: first at every ``_STRIDE``-th sorted sample, the last, and for
+    the age every grid point and the largest sample below the grid. Each
+    gap between these is bounded, for the age by the slopes both curves can
+    take there, for peaks by monotonicity widened by the table's largest
+    cdf drawdown, and evaluated at every point if the bound comes within
+    1e-12 of the coarse maximum. Empirical values round as in
+    ``empirical_aoi_cdf`` and ``empirical_paoi_cdf``.
     """
     kind = table.meta.get("kind")
-    us, ps, total = _samples(result, kind)
+    view = _samples(result, kind)
+    us, ps, *_, total = view
     if kind == "paoi":
-        steps = np.arange(ps.shape[0] + 1) / ps.shape[0]
-        fa = _interp_cdf(table, ps)
-        fe_grid = steps[np.searchsorted(ps, table.grid, side="right")]
-        return max(float(np.max(steps[1:] - fa)), float(np.max(fa - steps[:-1])),
-                   float(np.max(np.abs(table.cdf - fe_grid))))
-    # Time at or below x: x - u summed over starts u <= x less over peaks;
-    # a stable merge of starts (+1), peaks (-1), grid (0) accumulates both.
-    z = np.concatenate((us, ps, table.grid))
-    order = np.argsort(z, kind="stable")
-    z = z[order]
-    sign = np.repeat([1.0, -1.0, 0.0], [us.size, us.size, table.grid.size])[order]
-    fe = z * np.cumsum(sign)
-    fe -= np.cumsum(sign * z)
-    fe /= total
-    fe -= _interp_cdf(table, z)
-    return float(np.max(np.abs(fe)))
+        n = ps.shape[0]
+        i = np.unique(np.append(np.arange(0, n, _STRIDE), n - 1))
+        fa = _interp_cdf(table, ps[i])  # at sorted peaks i; then both sides of each jump
+        on_grid = np.abs(table.cdf - np.searchsorted(ps, table.grid, side="right") / n)
+        best = float(max(np.max((i + 1) / n - fa), np.max(fa - i / n), np.max(on_grid)))
+        drawdown = np.max(np.maximum.accumulate(table.cdf) - table.cdf)
+        bound = np.maximum(i[1:] / n - fa[:-1], fa[1:] - (i[:-1] + 1) / n) + drawdown
+        gaps = np.flatnonzero(bound > best - 1e-12)
+        i = _ranges(i[gaps] + 1, i[gaps + 1])
+        fa = _interp_cdf(table, ps[i])
+        return max(best, float(np.max(np.maximum((i + 1) / n - fa, fa - i / n), initial=0.0)))
+    # Every grid point is coarse, and so is the largest sample below the grid:
+    # between coarse neighbours a < b with a sample between them the table cdf
+    # is linear. The empirical one has slope C / total, C the cycles under way,
+    # in [N_u(< a) - N_p(<= b), N_u(<= b) - N_p(< a)].
+    last_below = [a[max(np.searchsorted(a, table.grid[0]) - 1, 0)] for a in (us, ps)]
+    x = np.unique(np.concatenate((us[::_STRIDE], ps[::_STRIDE], us[-1:], ps[-1:],
+                                  last_below, table.grid)))
+    fa = _interp_cdf(table, x)
+    d = np.abs(_time_below(view, x) - fa)
+    best = float(np.max(d))
+    (lu, ru), (lp, rp) = ([np.searchsorted(a, x, side=s) for s in ("left", "right")]
+                          for a in (us, ps))
+    dx, df = np.diff(x), np.diff(fa)
+    rise = np.maximum(dx * (ru[1:] - lp[:-1]) / total - df, df - dx * (lu[:-1] - rp[1:]) / total)
+    gaps = np.flatnonzero(np.maximum(d[:-1], d[1:]) + np.maximum(rise, 0.0) > best - 1e-12)
+    x = np.concatenate((us[_ranges(ru[gaps], lu[gaps + 1])], ps[_ranges(rp[gaps], lp[gaps + 1])]))
+    return max(best, float(np.max(np.abs(_time_below(view, x) - _interp_cdf(table, x)),
+                                  initial=0.0)))
 
 
 def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable) -> float:

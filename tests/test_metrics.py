@@ -130,6 +130,18 @@ class TestSummarize:
         assert summary.mean_paoi == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert summary.p_success == pytest.approx(0.75, rel=1e-12)
 
+    def test_table_refuses_non_finite_entries(self):
+        # every table check is a comparison, which a NaN passes unseen
+        from aoidual import DistributionTable
+
+        good = {"grid": [0.0, 1.0, 2.0], "pdf": [0.1, 0.3, 0.2], "cdf": [0.0, 0.5, 1.0]}
+        DistributionTable(**good, mean=1.0, second_moment=2.0, variance=1.0)
+        for name in good:
+            for bad in (np.nan, np.inf):
+                arrays = {**good, name: [*good[name][:2], bad]}
+                with pytest.raises(ValueError, match=f"^{name} holds a non-finite entry"):
+                    DistributionTable(**arrays, mean=1.0, second_moment=2.0, variance=1.0)
+
     def test_tables_satisfy_invariants(self):
         summary = summarize(build_fp_model(FpParams(0.5, 0.1, 1.0, 5)))
         for table in (summary.aoi_table, summary.paoi_table):

@@ -566,6 +566,10 @@ class TestKsMachinery:
             ks_distance(x, cdf, x, cdf[:2])
         with pytest.raises(ValueError, match="^cdf1 holds 4 values"):
             ks_distance(x, np.append(cdf, 1.0), x, cdf)
+        # a NaN would read as a distance of NaN, an infinity as one of inf
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^cdf2 holds a non-finite value"):
+                ks_distance(x, cdf, x, [0.0, 0.5, bad])
 
     def test_mismatched_parameters_separate(self):
         t1 = summarize(build_fp_model(FpParams(0.5, 0.1, 1.0, 10))).aoi_table
@@ -655,6 +659,73 @@ class TestKsMachinery:
                 brute = max(np.max(np.abs([side(x) for x in xs] - analytic)) for side in sides)
                 assert ks_against_table(res, table) == pytest.approx(brute, abs=1e-12), kind
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20_000),
+           lattice=st.floats(0.0, 1.0), points=st.integers(1, 300), on_lattice=st.booleans(),
+           start=st.floats(0.0, 1.0), end=st.floats(0.98, 1.2),
+           stretch=st.sampled_from([1.0, 1.3]), noise=st.sampled_from([1e-6, 1e-3]),
+           dips=st.booleans(), kind=st.sampled_from(["aoi", "paoi"]))
+    @example(seed=1, n=20_000, lattice=0.5, points=300, on_lattice=True, start=1.0, end=0.99,
+             stretch=1.0, noise=1e-6, dips=True, kind="aoi")
+    @example(seed=2, n=20_000, lattice=0.5, points=300, on_lattice=True, start=1.0, end=0.99,
+             stretch=1.0, noise=1e-6, dips=True, kind="paoi")
+    def test_coarse_search_matches_the_merge(self, seed, n, lattice, points, on_lattice, start,
+                                             end, stretch, noise, dips, kind):
+        # The search against every breakpoint, on samples with quarter-lattice
+        # ties; grids that start at 0 or above the smallest sample with a jump
+        # there, and that end before or after the last peak; tables near the
+        # empirical cdf or a stretched one, with and without 1e-12 dips.
+        from aoidual import DistributionTable
+        from aoidual.sim import SampleSet, SimResult
+
+        rng = np.random.default_rng(seed)
+        u, length = rng.exponential(size=n), rng.exponential(size=n)
+        tied = int(lattice * n)
+        u[:tied], length[:tied] = rng.integers(0, 16, (2, tied)) * 0.25 + [[0.0], [0.25]]
+        peak = u + length
+        g0 = np.quantile(np.concatenate((u, peak)), 0.02 * start)
+        g_end = np.quantile(peak, min(end, 1.0)) * max(end, 1.0)
+        ties = np.arange(0.0, 8.0, 0.25) if on_lattice else []
+        grid = np.concatenate(([g0], g0 + (g_end - g0) * rng.random(points), ties))
+        grid = np.unique(grid[(grid >= g0) & (grid <= g_end)])
+        law = (empirical_aoi_cdf(u, length, grid / stretch) if kind == "aoi"
+               else empirical_paoi_cdf(np.sort(peak), grid / stretch))
+        cdf = np.maximum.accumulate(np.clip(law + rng.normal(0.0, noise, grid.size), noise, 1.0))
+        if dips:
+            cdf[1::2] -= 0.99e-12
+        table = DistributionTable(grid, np.zeros(grid.size), cdf, 1.0, 2.0, 1.0,
+                                  meta={"kind": kind})
+        res = SimResult(0.0, 0.0, math.nan, math.nan, np.zeros(1), np.zeros(1), n,
+                        {}, {}, SampleSet(u, length, peak))
+        seen, time_below = [], sim._time_below
+
+        def spy(view, xs):
+            seen.append((xs, time_below(view, xs)))
+            return seen[-1][1]
+
+        with mock.patch.object(sim, "_time_below", spy):
+            ks = ks_against_table(res, table)
+        assert ks == pytest.approx(_merge_ks(u, length, table), abs=1e-12)
+        # on its grid the public empirical cdf is off the table by no more,
+        # its values there being the search's, bit for bit
+        empirical = empirical_aoi_cdf if kind == "aoi" else (
+            lambda u, length, xs: empirical_paoi_cdf(np.sort(u + length), xs))
+        assert np.max(np.abs(empirical(u, length, grid) - table.cdf)) <= ks
+        for xs, got in seen:
+            on = np.isin(xs, grid)
+            assert np.array_equal(got[on], empirical_aoi_cdf(u, length, xs[on]))
+
+    def test_coarse_search_evaluates_few_points(self):
+        # a fallback to every breakpoint would evaluate all 2n starts and ends
+        p = FpParams(0.5, 0.1, 1.0, 10)
+        summary = summarize(build_fp_model(p))
+        res = simulate(SimConfig(p, FP, horizon=200_000, seed=1, replications=1))
+        seen, time_below = [], sim._time_below
+        with mock.patch.object(sim, "_time_below",
+                               lambda view, xs: seen.append(xs.size) or time_below(view, xs)):
+            ks = ks_against_table(res, summary.aoi_table)
+        assert ks < 5.0 / math.sqrt(res.cycle_count)
+        assert 0 < sum(seen) < 0.05 * 2 * res.cycle_count
+
     def test_requires_samples(self):
         p = FpParams(0.5, 0.1, 1.0, 1)
         table = summarize(build_fp_model(p)).aoi_table
@@ -685,6 +756,26 @@ class TestKsMachinery:
         res = simulate(cfg)
         with pytest.raises(ValueError):
             ks_against_table(res, table)
+
+
+def _merge_ks(u, length, table):
+    """The sup distance at every breakpoint, by one stable merge of starts,
+    peaks and grid points (peaks: at both sides of every jump)."""
+    us, ps = np.sort(u), np.sort(u + length)
+    interp = lambda xs: np.interp(xs, table.grid, table.cdf, left=0.0, right=table.cdf[-1])
+    if table.meta["kind"] == "paoi":
+        steps = np.arange(ps.size + 1) / ps.size
+        fa = interp(ps)
+        fe_grid = steps[np.searchsorted(ps, table.grid, side="right")]
+        return max(np.max(steps[1:] - fa), np.max(fa - steps[:-1]),
+                   np.max(np.abs(table.cdf - fe_grid)))
+    # time at or below z: z - u summed over starts u <= z, less over peaks
+    z = np.concatenate((us, ps, table.grid))
+    order = np.argsort(z, kind="stable")
+    z = z[order]
+    sign = np.repeat([1.0, -1.0, 0.0], [us.size, us.size, table.grid.size])[order]
+    fe = (z * np.cumsum(sign) - np.cumsum(sign * z)) / np.sum(length)
+    return np.max(np.abs(fe - interp(z)))
 
 
 class TestSerialization:
