@@ -6,7 +6,7 @@ the zero-wait and freeze/preempt policies, computed from absorbing
 Markov chain representations; a plain phase-type law (``phase_type``,
 ``erlang_ph``) is such a chain too, and ``ph_pdf``/``ph_cdf``/``ph_moment``
 give the absorption time of any of them. A simulator for validation;
-and a golden-section optimizer for the freeze rate over ``fp_means``.
+and an optimizer of the freeze rate over ``fp_means`` by Brent's method.
 """
 
 from .phasetype import (

@@ -186,8 +186,11 @@ class StationarySolution:
         object.__setattr__(self, "pi", pi)
 
 
-def rmc_stationary(P, p: FpParams,
-                   residual_tol: float = 1e-10) -> StationarySolution:
+#: Largest balance residual of a stationary solve, relative to the largest rate.
+_RESIDUAL_TOL = 1e-10
+
+
+def rmc_stationary(P, p: FpParams) -> StationarySolution:
     """Solve ``pi P = 0, pi 1 = 1`` and derive the packet-generation rate.
 
     ``P`` is sparse or dense. State (1,1) is pinned to one (it is never
@@ -203,7 +206,7 @@ def rmc_stationary(P, p: FpParams,
     Raises
     ------
     RuntimeError
-        If the solved vector leaves a residual above ``residual_tol``
+        If the solved vector leaves a residual above ``_RESIDUAL_TOL``
         or a NaN one (a malformed or reducible generator).
     """
     P = sparse.csr_array(P, dtype=float)
@@ -216,7 +219,7 @@ def rmc_stationary(P, p: FpParams,
     # a vector that is not finite has no residual; NaN fails the check
     residual = float(np.max(np.abs(P.T @ pi))) if np.all(np.isfinite(pi)) else math.nan
     scale = max(1.0, float(np.max(np.abs(P.diagonal()))))
-    if not residual <= residual_tol * scale:
+    if not residual <= _RESIDUAL_TOL * scale:
         raise RuntimeError(
             f"stationary solve residual {residual:.3e} exceeds tolerance")
     if np.any(pi < -1e-12):

@@ -22,7 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from . import _io
-from .phasetype import AbsorbingChain, _Law, _rate, absorption_probability, expm_action_grid
+from .phasetype import (AbsorbingChain, _array, _Law, _rate, absorption_probability,
+                        expm_action_grid)
 
 
 #: First nonzero grid point, as a multiple of the mean.
@@ -64,22 +65,17 @@ class DistributionTable:
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        pdf = np.asarray(self.pdf, dtype=float)
-        cdf = np.asarray(self.cdf, dtype=float)
+        arrays = {name: _array(getattr(self, name), name).copy() for name in ("grid", "pdf", "cdf")}
+        grid, pdf, cdf = arrays.values()
         if not (grid.shape == pdf.shape == cdf.shape):
             raise ValueError("grid, pdf and cdf must have equal shapes")
-        for name, arr in (("grid", grid), ("pdf", pdf), ("cdf", cdf)):
-            if not np.isfinite(arr).all():  # NaN fails every check below unseen
-                raise ValueError(f"{name} holds a non-finite entry")
         if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be nonnegative and strictly increasing")
         if np.any(pdf < 0):
             raise ValueError("pdf has negative entries")
         if cdf[0] < 0 or cdf[-1] > 1 + 1e-9 or np.any(np.diff(cdf) < -1e-12):
             raise ValueError("cdf must be nondecreasing within [0, 1]")
-        for name, arr in (("grid", grid), ("pdf", pdf), ("cdf", cdf)):
-            arr = arr.copy()
+        for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))

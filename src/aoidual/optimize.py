@@ -49,16 +49,16 @@ class OptResult:
 
 
 def golden_section_min(objective, lo: float, hi: float, tol: float = 0.0,
-                       rtol: float = 0.0, max_evals: int = MAX_EVALS):
+                       max_evals: int = MAX_EVALS):
     """Minimize a unimodal scalar function on ``[lo, hi]``.
 
     Brent's method (Brent 1973, *Algorithms for Minimization without
     Derivatives*, ch. 5): golden-section search that steps to the vertex
     of the parabola through its three best points when that falls inside
     the bracket and moves less than half the step before last. It stops
-    once both bracket ends lie within ``2/3 max(tol, rtol |x|) + 2 eps |x|``
-    of the best point ``x``: the ``eps |x|`` floor stops a tolerance finer
-    than floats resolve there, not at ``max_evals``. The name is kept for
+    once both bracket ends lie within ``2/3 tol + 2 eps |x|`` of the best
+    point ``x``, ``tol`` positive: the ``eps |x|`` floor stops a tolerance
+    finer than floats resolve there, not at ``max_evals``. The name is kept for
     the benchmark's per-layer hook, which patches it.
 
     Returns
@@ -75,15 +75,15 @@ def golden_section_min(objective, lo: float, hi: float, tol: float = 0.0,
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if tol <= 0.0 and rtol <= 0.0:
-        raise ValueError("need a positive tol or rtol")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = float(lo), float(hi)
     x = w = v = a + _CGOLD * (b - a)
     fx = fw = fv = objective(x)
     evals, d, e = 1, 0.0, 0.0
     while True:
         m = 0.5 * (a + b)
-        tol1 = max(tol, rtol * abs(x)) / 3.0 + float_info.epsilon * abs(x)
+        tol1 = tol / 3.0 + float_info.epsilon * abs(x)
         if max(x - a, b - x) <= 2.0 * tol1:
             return x, fx, evals
         if evals >= max_evals:

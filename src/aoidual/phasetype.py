@@ -8,7 +8,7 @@ module holds the numerics they all build on: the chain, its assembly
 from a policy's rule table, absorption probabilities, the action of the
 matrix exponential (by uniformization, or scaling and squaring), the one
 law whose densities, cdfs and moments ``metrics`` evaluates, and the one check of
-every count (``_whole``) and rate (``_rate``) the package is given.
+every count (``_whole``), rate (``_rate``) and array (``_array``) the package is given.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -56,16 +56,6 @@ _PRODUCT_COST = 2e5
 _PADE_PRODUCTS = 12.0
 
 
-def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    if out.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite entries")
-    out.flags.writeable = False
-    return out
-
-
 def _factored(S):
     """CSC form of a sub-generator block, dense or sparse, its sparse LU factor,
     diagonal and row sums, validated on the stored entries: nonnegative off-diagonal
@@ -79,10 +69,9 @@ def _factored(S):
         if not Q.has_canonical_format:
             Q = Q.copy()
             Q.sum_duplicates()
-        if not np.all(np.isfinite(Q.data)):
-            raise ValueError("S contains non-finite entries")
+        _array(Q.data, "S")
     else:
-        Q = sparse.csc_array(_as_float_array(S, "S", 2))
+        Q = sparse.csc_array(_array(S, "S", 2))
     n = Q.shape[0]
     if Q.shape != (n, n):
         raise ValueError("S must be square")
@@ -134,6 +123,21 @@ def _rate(value, name: str, infinite: bool = False) -> float:
                      f"got {value!r}")
 
 
+def _array(a, name: str, ndim: int | None = 1, finite: bool = True,
+           ascending: bool = False) -> np.ndarray:
+    """``a`` as a float array, a view where it is one already; a ValueError naming ``name``
+    if it has other than ``ndim`` dimensions (None: any), a NaN, an infinity where
+    ``finite``, or a step down where ``ascending``."""
+    out = np.asarray(a, dtype=float)
+    if ndim is not None and out.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
+    if not (np.isfinite(out).all() if finite else not np.isnan(out).any()):
+        raise ValueError(f"{name} holds a {'non-finite entry' if finite else 'NaN'}")
+    if ascending and np.any(out[1:] < out[:-1]):
+        raise ValueError(f"{name} must be sorted ascending")
+    return out
+
+
 def _ordered_rates(params) -> None:
     """Check and store a parameter set's service rates, swapped into ``mu1 >= mu2``."""
     mu1, mu2 = _rate(params.mu1, "mu1"), _rate(params.mu2, "mu2")
@@ -143,7 +147,8 @@ def _ordered_rates(params) -> None:
 
 
 def _checked_init(init, n: int) -> np.ndarray:
-    init = _as_float_array(init, "init", 1)
+    init = _array(init, "init").copy()
+    init.flags.writeable = False
     if init.shape != (n,):
         raise ValueError("init has the wrong length")
     if np.any(init < 0):
@@ -178,8 +183,8 @@ class AbsorbingChain:
 
     def __post_init__(self):
         S_csc, lu, diag, row_sums = _factored(self.S_csc)
-        V = _as_float_array(self.V, "V", 2)
-        mask = _as_float_array(self.aoi_mask, "aoi_mask", 1)
+        V, mask = _array(self.V, "V", 2).copy(), _array(self.aoi_mask, "aoi_mask").copy()
+        V.flags.writeable = mask.flags.writeable = False
         n = S_csc.shape[0]
         if V.shape[0] != n:
             raise ValueError("V must have the same number of rows as S")
@@ -576,24 +581,18 @@ def expm_action_grid(S, xs, v, W=None, full_output: bool = False):
         If the walk's discarded Poisson mass exceeds ``EXPM_TAIL``, or it
         needs more steps than an array can index.
     """
-    S = S if sparse.issparse(S) else np.asarray(S, dtype=float)
-    v = np.asarray(v, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    S = sparse.csc_array(S if sparse.issparse(S) else _array(S, "S", 2), dtype=float)
+    _array(S.data, "S")
+    v, xs = _array(v, "v"), _array(xs, "xs")
+    W = None if W is None else _array(W, "W", 2)
+    if S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")
-    S = sparse.csc_array(S, dtype=float)
     if v.shape != (S.shape[0],):
         raise ValueError(f"v has shape {v.shape}, expected ({S.shape[0]},)")
-    if W is not None:
-        W = np.asarray(W, dtype=float)
-        if W.ndim != 2 or W.shape[0] != S.shape[0]:
-            raise ValueError(f"W has shape {W.shape}, expected ({S.shape[0]}, m)")
-    if xs.ndim != 1:
-        raise ValueError("xs must be one-dimensional")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("grid points must be finite")
+    if W is not None and W.shape[0] != S.shape[0]:
+        raise ValueError(f"W has shape {W.shape}, expected ({S.shape[0]}, m)")
     if np.any(xs < 0):
-        raise ValueError("grid points must be nonnegative")
+        raise ValueError("xs must be nonnegative")
     P, rate = _uniformized(S)
     order = np.argsort(xs, kind="stable")
     with np.errstate(over="ignore"):  # past the float range no walk runs; squaring does
@@ -694,8 +693,8 @@ def phase_type(sigma, S) -> AbsorbingChain:
     the one column of exit rates ``-S 1``, and its age mask holds every
     state.
     """
-    S = np.asarray(S, dtype=float)
-    return AbsorbingChain(S, -S.sum(axis=1)[:, None], sigma, np.ones(S.shape[0]))
+    S = _array(S, "S", 2)
+    return AbsorbingChain(S, -S.sum(axis=1)[:, None], _array(sigma, "sigma"), np.ones(S.shape[0]))
 
 
 def erlang_ph(rate: float, k: int) -> AbsorbingChain:

@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import inf, nan, sqrt
+from math import inf, isqrt, nan, sqrt
 from operator import add
 from types import MappingProxyType
 from typing import Mapping
@@ -51,7 +51,7 @@ import numpy as np
 from . import _io
 from .fp import FpParams, preempt_only_params
 from .metrics import DistributionTable
-from .phasetype import _whole
+from .phasetype import _array, _whole
 from .zw import ZwParams
 
 ZW = "zw"
@@ -174,7 +174,7 @@ def _samples(result: SimResult, kind):
 
 #: Number of quantile points kept in serialized empirical cdfs.
 CDF_POINTS = 2048
-_STRIDE = 256  # sorted samples per coarse gap of a KS distance
+_STRIDE = 256  # sorted samples per coarse gap of the age KS distance
 
 
 def _rep_rng(seed: int, rep: int):
@@ -351,12 +351,9 @@ def _cycles(delivered, generated, warmup):
 def _sorted_cycles(u, length):
     """Checked per-cycle starting ages and lengths: sorted starts and peaks,
     their prefix sums, each led by 0, and the total length."""
-    u, length = np.asarray(u, dtype=float), np.asarray(length, dtype=float)
+    u, length = _array(u, "u"), _array(length, "length")
     if u.shape != length.shape:
         raise ValueError(f"u and length differ in shape: {u.shape} and {length.shape}")
-    for name, a in (("u", u), ("length", length)):
-        if np.isnan(a).any():
-            raise ValueError(f"{name} holds a NaN sample")
     if np.any(length < 0):
         raise ValueError("cycle lengths must be nonnegative")
     total = length.sum()
@@ -371,13 +368,11 @@ def empirical_aoi_cdf(u, length, xs) -> np.ndarray:
 
     Uses the exact piecewise-linear cycle geometry: a cycle starting at
     age ``u`` with length ``L`` spends ``clip(x - u, 0, L)`` time units
-    at or below ``x``. The samples must match in shape and hold no NaN;
-    lengths must be nonnegative, with a positive total. The points must
-    hold no NaN; the cdf is 0 at ``-inf`` and 1 at ``inf``.
+    at or below ``x``. The samples must be finite and one-dimensional, of one
+    shape; lengths must be nonnegative, with a positive total. The points, of
+    any shape, must hold no NaN; the cdf is 0 at ``-inf`` and 1 at ``inf``.
     """
-    xs = np.asarray(xs, dtype=float)
-    if np.isnan(xs).any():
-        raise ValueError("xs holds a NaN point")
+    xs = _array(xs, "xs", None, finite=False)
     finite = np.isfinite(xs)
     cdf = _time_below(_sorted_cycles(u, length), np.where(finite, xs, 0.0))
     return np.where(finite, cdf, xs > 0)
@@ -393,17 +388,12 @@ def _time_below(view, xs):
 
 
 def empirical_paoi_cdf(peaks_sorted, xs) -> np.ndarray:
-    """Empirical cdf of the recorded peaks, at least one, sorted ascending, at non-NaN ``xs``."""
-    peaks_sorted = np.asarray(peaks_sorted, dtype=float)
-    if np.isnan(peaks_sorted).any():
-        raise ValueError("peaks_sorted holds a NaN sample")
-    if np.any(peaks_sorted[1:] < peaks_sorted[:-1]):
-        raise ValueError("peaks_sorted must be sorted ascending")
+    """Empirical cdf of the recorded peaks, finite, at least one, sorted ascending, at
+    non-NaN ``xs`` of any shape."""
+    peaks_sorted = _array(peaks_sorted, "peaks_sorted", ascending=True)
     if peaks_sorted.size == 0:
         raise ValueError("peaks_sorted holds no peak")
-    xs = np.asarray(xs, dtype=float)
-    if np.isnan(xs).any():
-        raise ValueError("xs holds a NaN point")
+    xs = _array(xs, "xs", None, finite=False)
     return np.searchsorted(peaks_sorted, xs, side="right") / peaks_sorted.shape[0]
 
 
@@ -473,16 +463,14 @@ def _interp_cdf(table: DistributionTable, xs: np.ndarray) -> np.ndarray:
 
 def ks_distance(x1, cdf1, x2, cdf2) -> float:
     """Sup distance between two tabulated cdfs on their merged grid; each grid
-    nonempty, nondecreasing and free of NaN, with one finite cdf value per point."""
-    curves = [(np.asarray(x, dtype=float), np.asarray(c, dtype=float))
-              for x, c in ((x1, cdf1), (x2, cdf2))]
+    nonempty, finite and nondecreasing, with one finite cdf value per point."""
+    curves = [(_array(x, f"x{i}", ascending=True), _array(cdf, f"cdf{i}"))
+              for i, (x, cdf) in enumerate(((x1, cdf1), (x2, cdf2)), 1)]
     for i, (x, cdf) in enumerate(curves, 1):
-        if not x.size or np.isnan(x).any() or np.any(x[1:] < x[:-1]):
-            raise ValueError(f"x{i} must be a nonempty, nondecreasing grid free of NaN")
+        if not x.size:
+            raise ValueError(f"x{i} must be nonempty")
         if cdf.shape != x.shape:
             raise ValueError(f"cdf{i} holds {cdf.size} values for the {x.size} points of x{i}")
-        if not np.isfinite(cdf).all():
-            raise ValueError(f"cdf{i} holds a non-finite value")
     xs = np.union1d(curves[0][0], curves[1][0])
     f1, f2 = (np.interp(xs, x, cdf, left=0.0, right=float(cdf[-1])) for x, cdf in curves)
     return float(np.max(np.abs(f1 - f2)))
@@ -499,7 +487,9 @@ def ks_against_table(result: SimResult, table: DistributionTable) -> float:
     The analytic cdf is interpolated from its table, 0 below its grid. The
     step cdf of peaks is compared on both sides of every jump and at every
     grid point, the piecewise-linear age cdf at every breakpoint of either
-    curve: first at every ``_STRIDE``-th sorted sample, the last, and for
+    curve: first at the last sorted sample and every ``_STRIDE``-th, or of
+    ``n`` peaks every ``isqrt(n) // 8``-th (so a gap's monotone bound adds
+    about ``1 / (8 sqrt(n))`` to a distance near ``1 / sqrt(n)``), and for
     the age every grid point and the largest sample below the grid. Each
     gap between these is bounded, for the age by the slopes both curves can
     take there, for peaks by monotonicity widened by the table's largest
@@ -512,7 +502,7 @@ def ks_against_table(result: SimResult, table: DistributionTable) -> float:
     us, ps, *_, total = view
     if kind == "paoi":
         n = ps.shape[0]
-        i = np.unique(np.append(np.arange(0, n, _STRIDE), n - 1))
+        i = np.unique(np.append(np.arange(0, n, max(1, isqrt(n) // 8)), n - 1))
         fa = _interp_cdf(table, ps[i])  # at sorted peaks i; then both sides of each jump
         on_grid = np.abs(table.cdf - np.searchsorted(ps, table.grid, side="right") / n)
         best = float(max(np.max((i + 1) / n - fa), np.max(fa - i / n), np.max(on_grid)))

@@ -717,8 +717,9 @@ class TestStationaryDiagnostics:
                 return x
 
         monkeypatch.setattr(fp_module, "splu", Perturbed)
+        monkeypatch.setattr(fp_module, "_RESIDUAL_TOL", 1.0)
         p = FpParams(0.5, 0.1, 1.0, 3)
-        st = rmc_stationary(build_fp_rmc(p), p, residual_tol=1.0)
+        st = rmc_stationary(build_fp_rmc(p), p)
         assert st.pi[-1] == 0.0 and st.pi.sum() == pytest.approx(1.0, abs=1e-15)
         assert 0.0 < st.clip <= 1e-14
 

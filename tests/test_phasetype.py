@@ -10,6 +10,7 @@ import scipy.sparse
 
 from aoidual import (
     AbsorbingChain,
+    DistributionTable,
     FpParams,
     GridSpec,
     SimConfig,
@@ -30,6 +31,9 @@ from aoidual import (
     phase_type,
     summarize,
     ZwParams,
+    empirical_aoi_cdf,
+    empirical_paoi_cdf,
+    ks_distance,
 )
 from conftest import random_phase_type, random_subgenerator, sample_absorption
 
@@ -68,7 +72,7 @@ class TestPdf:
             assert vals.shape == xs.shape
             for x, v in zip(xs, vals):
                 assert v == pytest.approx(law(model, float(x)), rel=1e-10)
-            with pytest.raises(ValueError, match="one-dimensional"):
+            with pytest.raises(ValueError, match="^xs must be 1-dimensional"):
                 law(model, xs.reshape(2, 3))
 
 
@@ -658,6 +662,79 @@ def test_every_numeric_input_refuses_with_a_value_error_naming_it(case):
     for value in bad:
         # a ValueError that names the input; an OverflowError or TypeError fails the test
         with pytest.raises(ValueError, match=name):
+            call(value)
+
+
+def _array_refusals():
+    """(input, call with the array, name the error must give, a valid array, its
+    dimensions (None: any, or not a dense array), whether it must be finite, whether
+    sorted) for every array input of the library."""
+    S, V, init, mask = [[-2.0, 1.0], [0.0, -1.0]], [[1.0], [1.0]], [1.0, 0.0], [1.0, 1.0]
+    chain = AbsorbingChain(S, V, init, mask)
+    grid, pdf, cdf = [0.0, 1.0, 2.0], [0.1, 0.3, 0.2], [0.0, 0.5, 1.0]
+    u, length, peaks = [0.5, 1.0, 0.2], [1.0, 0.5, 2.0], [1.5, 1.5, 2.2]
+    table = partial(DistributionTable, mean=1.0, second_moment=2.0, variance=1.0)
+    sparse = scipy.sparse.csc_array
+    return [
+        ("AbsorbingChain.S", lambda a: AbsorbingChain(a, V, init, mask), "S", S, 2, True, False),
+        ("AbsorbingChain.S sparse", lambda a: AbsorbingChain(sparse(a), V, init, mask), "S", S,
+         None, True, False),
+        ("AbsorbingChain.V", lambda a: AbsorbingChain(S, a, init, mask), "V", V, 2, True, False),
+        ("AbsorbingChain.init", lambda a: AbsorbingChain(S, V, a, mask), "init", init, 1, True,
+         False),
+        ("AbsorbingChain.aoi_mask", lambda a: AbsorbingChain(S, V, init, a), "aoi_mask", mask, 1,
+         True, False),
+        ("with_init", chain.with_init, "init", init, 1, True, False),
+        ("phase_type.sigma", lambda a: phase_type(a, S), "sigma", init, 1, True, False),
+        ("phase_type.S", lambda a: phase_type(init, a), "S", S, 2, True, False),
+        ("expm_action_grid.S", lambda a: expm_action_grid(a, [1.0], init), "S", S, 2, True,
+         False),
+        ("expm_action_grid.S sparse", lambda a: expm_action_grid(sparse(a), [1.0], init), "S", S,
+         None, True, False),
+        ("expm_action_grid.v", lambda a: expm_action_grid(S, [1.0], a), "v", init, 1, True,
+         False),
+        ("expm_action_grid.W", lambda a: expm_action_grid(S, [1.0], init, a), "W", V, 2, True,
+         False),
+        ("expm_action_grid.xs", lambda a: expm_action_grid(S, a, init), "xs", [0.5, 1.0], 1,
+         True, False),
+        ("DistributionTable.grid", lambda a: table(a, pdf, cdf), "grid", grid, 1, True, True),
+        ("DistributionTable.pdf", lambda a: table(grid, a, cdf), "pdf", pdf, 1, True, False),
+        ("DistributionTable.cdf", lambda a: table(grid, pdf, a), "cdf", cdf, 1, True, True),
+        ("empirical_aoi_cdf.u", lambda a: empirical_aoi_cdf(a, length, [1.0]), "u", u, 1, True,
+         False),
+        ("empirical_aoi_cdf.length", lambda a: empirical_aoi_cdf(u, a, [1.0]), "length", length,
+         1, True, False),
+        ("empirical_aoi_cdf.xs", lambda a: empirical_aoi_cdf(u, length, a), "xs", [0.3, 1.0],
+         None, False, False),
+        ("empirical_paoi_cdf.peaks_sorted", lambda a: empirical_paoi_cdf(a, [1.0]),
+         "peaks_sorted", peaks, 1, True, True),
+        ("empirical_paoi_cdf.xs", lambda a: empirical_paoi_cdf(peaks, a), "xs", [0.3, 1.0],
+         None, False, False),
+        ("ks_distance.x1", lambda a: ks_distance(a, cdf, grid, cdf), "x1", grid, 1, True, True),
+        ("ks_distance.cdf1", lambda a: ks_distance(grid, a, grid, cdf), "cdf1", cdf, 1, True,
+         False),
+        ("ks_distance.x2", lambda a: ks_distance(grid, cdf, a, cdf), "x2", grid, 1, True, True),
+        ("ks_distance.cdf2", lambda a: ks_distance(grid, cdf, grid, a), "cdf2", cdf, 1, True,
+         False),
+    ]
+
+
+@pytest.mark.parametrize("case", _array_refusals(), ids=lambda case: case[0])
+def test_every_array_input_refuses_with_a_value_error_naming_it(case):
+    _, call, name, good, ndim, finite, ascending = case
+    good = np.array(good)
+    call(good)  # the valid array passes
+    bad = []
+    for value in [math.nan] + [math.inf, -math.inf] * finite:
+        bad.append(good.copy())
+        bad[-1].flat[-1] = value
+    if ndim is not None:  # one dimension too many, and a scalar
+        bad += [good[None], good.flat[0]]
+    if ascending:
+        bad.append(good[::-1])
+    for value in bad:
+        # a ValueError whose message starts with the name; numpy's own errors fail the test
+        with pytest.raises(ValueError, match=f"^{name} "):
             call(value)
 
 
