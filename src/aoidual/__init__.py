@@ -57,7 +57,6 @@ from .sim import (
     SimResult,
     empirical_aoi_cdf,
     empirical_paoi_cdf,
-    empirical_vs_analytic,
     ks_against_table,
     ks_distance,
     simulate,
@@ -77,8 +76,7 @@ __all__ = [
     "aoi_moment", "aoi_pdf", "paoi_cdf", "paoi_mean", "paoi_moment",
     "paoi_pdf", "ph_cdf", "ph_moment", "ph_pdf", "summarize",
     "FP", "FP_PREEMPT_ONLY", "ZW", "SimConfig", "SimResult",
-    "empirical_aoi_cdf", "empirical_paoi_cdf", "empirical_vs_analytic",
-    "ks_against_table", "ks_distance", "simulate",
+    "empirical_aoi_cdf", "empirical_paoi_cdf", "ks_against_table", "ks_distance", "simulate",
     "OptResult", "golden_section_min", "optimize_freeze",
     "__version__",
 ]

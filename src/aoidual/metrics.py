@@ -54,14 +54,12 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Tabulated finite pdf/cdf on a grid (CSV only), with the first two moments."""
+    """Tabulated finite pdf/cdf on a grid (CSV only); ``meta`` holds the
+    table's own facts, its ``kind`` and ``cdf_clip``."""
 
     grid: np.ndarray = field(metadata=_io.NOT_JSON)
     pdf: np.ndarray = field(metadata=_io.NOT_JSON)
     cdf: np.ndarray = field(metadata=_io.NOT_JSON)
-    mean: float
-    second_moment: float
-    variance: float
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,8 +67,8 @@ class DistributionTable:
         grid, pdf, cdf = arrays.values()
         if not (grid.shape == pdf.shape == cdf.shape):
             raise ValueError("grid, pdf and cdf must have equal shapes")
-        if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be nonnegative and strictly increasing")
+        if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be nonempty, nonnegative and strictly increasing")
         if np.any(pdf < 0):
             raise ValueError("pdf has negative entries")
         if cdf[0] < 0 or cdf[-1] > 1 + 1e-9 or np.any(np.diff(cdf) < -1e-12):
@@ -87,7 +85,8 @@ class DistributionTable:
 @dataclass(frozen=True, eq=False)
 class AoiSummary:
     """Means, first three non-central moments, success probability and
-    tabulated distributions of age and peak age."""
+    tabulated distributions of age and peak age; ``meta`` holds the model
+    fields and the kernel's (``kernel``, ``unif_mass``, ``poisson_tail``)."""
 
     mean_aoi: float
     mean_paoi: float
@@ -187,12 +186,11 @@ def summarize(chain: AbsorbingChain, grid_spec: GridSpec = GridSpec()) -> AoiSum
 
     Each table uses its own grid scaled to the respective mean. Both laws
     walk ``init expm(S x)``, so one kernel call evaluates both grids
-    against their four stacked weights, and both tables' ``meta`` report
+    against their four stacked weights, and the summary's ``meta`` reports
     that shared walk. The result is a pure function of the chain and grid
     spec; identical inputs give bit-identical output at a fixed BLAS thread
     count (at k = 200, one and two threads differ by up to 3.7e-16 of a column's maximum).
     """
-    base_meta = dict(chain.meta)
     laws = [_law(chain, kind) for kind in ("aoi", "paoi")]
     moments = [tuple(law.moments(3)) for law in laws]
     grids = [grid_spec.build(m[0]) for m in moments]
@@ -201,13 +199,10 @@ def summarize(chain: AbsorbingChain, grid_spec: GridSpec = GridSpec()) -> AoiSum
     # rows: aoi grid, then paoi grid; columns: aoi (w, y), then paoi (w, y)
     proj = proj.reshape(2, -1, 2, 2)
     tables = []
-    for i, (kind, law, (mean, m2, _), grid) in enumerate(
-            zip(("aoi", "paoi"), laws, moments, grids)):
+    for i, (kind, law, grid) in enumerate(zip(("aoi", "paoi"), laws, grids)):
         pdf, raw = law.pdf_cdf(proj[i, :, i])
         cdf = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
-        meta = {**base_meta, "kind": kind, **info,
-                "cdf_clip": float(np.max(np.abs(cdf - raw)))}
-        tables.append(DistributionTable(grid, pdf, cdf, mean, m2, m2 - mean * mean,
-                                        meta=meta))
+        tables.append(DistributionTable(grid, pdf, cdf, meta={
+            "kind": kind, "cdf_clip": float(np.max(np.abs(cdf - raw)))}))
     return AoiSummary(moments[0][0], moments[1][0], *moments,
-                      absorption_probability(chain, 0), *tables, meta=base_meta)
+                      absorption_probability(chain, 0), *tables, meta={**chain.meta, **info})

@@ -653,9 +653,9 @@ class _Law:
 
     def at(self, x):
         """``(pdf, cdf)`` at a scalar or a one-dimensional array of times."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0):
-            raise ValueError("time arguments must be nonnegative")
+        arr = _array(x, "x", None)
+        if arr.ndim > 1 or np.any(arr < 0):
+            raise ValueError("x must be nonnegative and at most 1-dimensional")
         proj = expm_action_grid(self.S, np.atleast_1d(arr), self.init, self.W)
         if arr.ndim == 0:
             return tuple(float(val) for val in self.pdf_cdf(proj[0]))

@@ -37,7 +37,6 @@ and the rest only in gaps whose bound comes near the coarse maximum.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -531,20 +530,3 @@ def ks_against_table(result: SimResult, table: DistributionTable) -> float:
     return max(best, float(np.max(np.abs(_time_below(view, x) - _interp_cdf(table, x)),
                                   initial=0.0)))
 
-
-def empirical_vs_analytic(cfg: SimConfig, table: DistributionTable) -> float:
-    """Simulate ``cfg`` and measure the sup distance to an analytic cdf.
-
-    Every field of ``cfg.describe()`` that the table's metadata also
-    carries is checked against it, numbers to a relative 1e-12;
-    mismatches are reported as warnings (the distance is still computed,
-    and will be large).
-    """
-    meta = table.meta
-    for key, b in cfg.describe().items():
-        a = meta.get(key, b)
-        if a != b and (str in (type(a), type(b)) or abs(a - b) > 1e-12 * max(1.0, abs(a))):
-            warnings.warn(f"configured {key}={b} does not match analytic table ({a})",
-                          stacklevel=2)
-    result = simulate(cfg, keep_samples=True)
-    return ks_against_table(result, table)

@@ -66,8 +66,8 @@ class ZwParams:
 
 
 class ZwMeans(NamedTuple):
-    mean_paoi: float
     mean_aoi: float
+    mean_paoi: float
 
 
 def build_zw_amc(p: ZwParams) -> AbsorbingChain:
@@ -106,13 +106,13 @@ def zw_explicit_inverse(p: ZwParams) -> np.ndarray:
 
 
 def zw_closed_form_means(p: ZwParams) -> ZwMeans:
-    """Mean peak age and mean age under zero wait.
+    """Mean age and mean peak age under zero wait.
 
-    ``mean_paoi = 2 (mu1+mu2) / (mu1^2 + mu1 mu2 + mu2^2)`` and
-    ``mean_aoi = 2 (mu1^2 + 3 mu1 mu2 + mu2^2) / (mu1+mu2)^3``; both are
+    ``mean_aoi = 2 (mu1^2 + 3 mu1 mu2 + mu2^2) / (mu1+mu2)^3`` and
+    ``mean_paoi = 2 (mu1+mu2) / (mu1^2 + mu1 mu2 + mu2^2)``; both are
     symmetric in the rates.
     """
     a, b = p.mu1, p.mu2
-    mean_paoi = 2.0 * (a + b) / (a * a + a * b + b * b)
     mean_aoi = 2.0 * (a * a + 3.0 * a * b + b * b) / (a + b) ** 3
-    return ZwMeans(mean_paoi, mean_aoi)
+    mean_paoi = 2.0 * (a + b) / (a * a + a * b + b * b)
+    return ZwMeans(mean_aoi, mean_paoi)

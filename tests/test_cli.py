@@ -500,6 +500,11 @@ def _lists(obj):
     return []
 
 
+def _shape(obj):
+    """The nested keys of a parsed JSON object, None at every other value."""
+    return {k: _shape(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+
+
 def _roundtrip(obj):
     return json.loads(json.dumps(aoidual._io._jsonable(obj)))
 
@@ -535,10 +540,24 @@ class TestOutputs:
         assert payload["meta"] == _roundtrip(dict(summary.meta))
         for kind in ("aoi", "paoi"):
             table = getattr(summary, f"{kind}_table")
-            assert payload[f"{kind}_table"] == {
-                "mean": table.mean, "second_moment": table.second_moment,
-                "variance": table.variance, "meta": _roundtrip(dict(table.meta))}
+            assert payload[f"{kind}_table"] == {"meta": _roundtrip(dict(table.meta))}
         assert max(map(len, _lists(payload))) <= 3
+
+    @pytest.mark.parametrize("argv, model", [
+        (["--policy", "zw"], ("policy", "mu1", "mu2", "swapped")),
+        (["--policy", "fp", "--lambda", "1", "--k", "50"],
+         ("policy", "mu1", "mu2", "freeze_rate", "k", "swapped"))], ids=["zw", "fp"])
+    def test_summary_json_holds_each_fact_once(self, tmp_path, argv, model):
+        # a table keeps its own facts; the model and the shared walk sit in the top meta
+        assert run(["analyze", *argv, "--mu1", "0.5", "--mu2", "0.1", "--grid-points", "50",
+                    "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        table = {"meta": dict.fromkeys(("kind", "cdf_clip"))}
+        assert _shape(payload) == {
+            **dict.fromkeys(("mean_aoi", "mean_paoi", "aoi_moments", "paoi_moments",
+                             "p_success")),
+            "aoi_table": table, "paoi_table": table,
+            "meta": dict.fromkeys((*model, "kernel", "unif_mass", "poisson_tail"))}
 
     def test_table_csvs_parse_back_to_the_tables(self, analyzed):
         out, summary = analyzed

@@ -135,16 +135,17 @@ class TestSummarize:
         from aoidual import DistributionTable
 
         good = {"grid": [0.0, 1.0, 2.0], "pdf": [0.1, 0.3, 0.2], "cdf": [0.0, 0.5, 1.0]}
-        DistributionTable(**good, mean=1.0, second_moment=2.0, variance=1.0)
+        DistributionTable(**good)
         for name in good:
             for bad in (np.nan, np.inf):
                 arrays = {**good, name: [*good[name][:2], bad]}
                 with pytest.raises(ValueError, match=f"^{name} holds a non-finite entry"):
-                    DistributionTable(**arrays, mean=1.0, second_moment=2.0, variance=1.0)
+                    DistributionTable(**arrays)
 
     def test_tables_satisfy_invariants(self):
         summary = summarize(build_fp_model(FpParams(0.5, 0.1, 1.0, 5)))
-        for table in (summary.aoi_table, summary.paoi_table):
+        for table, (mean, m2, _) in ((summary.aoi_table, summary.aoi_moments),
+                                     (summary.paoi_table, summary.paoi_moments)):
             assert np.all(table.pdf >= 0.0)
             assert np.all(np.diff(table.cdf) >= -1e-12)
             assert table.cdf[0] >= 0.0 and table.cdf[-1] <= 1.0
@@ -152,8 +153,7 @@ class TestSummarize:
             # trapezoid slightly overestimates the convex tail, so allow
             # a hair above one
             assert 0.99 <= integral <= 1.0 + 1e-4
-            assert table.variance == pytest.approx(
-                table.second_moment - table.mean ** 2, rel=1e-12)
+            assert m2 > mean ** 2  # a positive variance
 
     def test_deterministic_output(self):
         chain = build_fp_model(FpParams(0.5, 0.1, 1.0, 3))
@@ -187,7 +187,9 @@ class TestSummarize:
         summary = summarize(build_zw_amc(ZW_HET))
         assert summary.aoi_table.meta["kind"] == "aoi"
         assert summary.paoi_table.meta["kind"] == "paoi"
-        assert summary.aoi_table.meta["mu2"] == 0.1
+        assert summary.meta["mu2"] == 0.1
+        # each table keeps its own facts only; the model's sit in the summary once
+        assert set(summary.aoi_table.meta) == set(summary.paoi_table.meta) == {"kind", "cdf_clip"}
 
     def test_meta_reports_kernel_health(self):
         from aoidual.phasetype import EXPM_TAIL
@@ -197,12 +199,12 @@ class TestSummarize:
         summary = summarize(chain, GridSpec(points=200))
         # both tables come from one walk, up to the later grid end
         end = max(summary.aoi_table.grid[-1], summary.paoi_table.grid[-1])
+        meta = summary.meta
+        assert meta["kernel"] == "single_pass"
+        assert meta["unif_mass"] == rate * end
+        assert 0.0 <= meta["poisson_tail"] <= EXPM_TAIL
         for table in (summary.aoi_table, summary.paoi_table):
-            meta = table.meta
-            assert meta["kernel"] == "single_pass"
-            assert meta["unif_mass"] == rate * end
-            assert 0.0 <= meta["poisson_tail"] <= EXPM_TAIL
-            assert 0.0 <= meta["cdf_clip"] <= 1e-12
+            assert 0.0 <= table.meta["cdf_clip"] <= 1e-12
 
     @pytest.mark.parametrize("chain", [build_zw_amc(ZW_HET),
                                        build_fp_model(FpParams(0.5, 0.1, 1.0, 3))],
@@ -260,8 +262,8 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         assert payload["mean_aoi"] == pytest.approx(1.25)
         # the arrays live in the table CSVs only
-        assert set(payload["aoi_table"]) == {"mean", "second_moment", "variance", "meta"}
+        assert set(payload["aoi_table"]) == {"meta"}
         assert payload["meta"]["policy"] == "zw"
-        assert payload["aoi_table"]["meta"]["kernel"] == "single_pass"
-        assert set(payload["paoi_table"]["meta"]) >= {
-            "kernel", "unif_mass", "poisson_tail", "cdf_clip"}
+        assert payload["meta"]["kernel"] == "single_pass"
+        assert set(payload["meta"]) >= {"kernel", "unif_mass", "poisson_tail"}
+        assert set(payload["paoi_table"]["meta"]) == {"kind", "cdf_clip"}

@@ -56,7 +56,7 @@ class TestPdf:
         assert ph_pdf(erlang_ph(1.0, 2), 0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x must be nonnegative"):
             ph_pdf(exponential_ph(1.0), -0.1)
 
     def test_array_argument_matches_scalars(self):
@@ -72,7 +72,7 @@ class TestPdf:
             assert vals.shape == xs.shape
             for x, v in zip(xs, vals):
                 assert v == pytest.approx(law(model, float(x)), rel=1e-10)
-            with pytest.raises(ValueError, match="^xs must be 1-dimensional"):
+            with pytest.raises(ValueError, match="^x must be .*at most 1-dimensional"):
                 law(model, xs.reshape(2, 3))
 
 
@@ -401,7 +401,7 @@ class TestFig3Kernel:
             assert abs(c - (u - chain.init) @ y / denom) <= 1e-12
         assert cdf[0] == 0.0
         assert (pdf[2], cdf[2]) == (pdf[3], cdf[3])
-        assert table.meta["kernel"] == "single_pass"
+        assert summary.meta["kernel"] == "single_pass"
         assert table.pdf[-1] == pytest.approx(pdf[-1], abs=1e-12)
         assert table.cdf[-1] == pytest.approx(cdf[-1], abs=1e-12)
 
@@ -673,7 +673,6 @@ def _array_refusals():
     chain = AbsorbingChain(S, V, init, mask)
     grid, pdf, cdf = [0.0, 1.0, 2.0], [0.1, 0.3, 0.2], [0.0, 0.5, 1.0]
     u, length, peaks = [0.5, 1.0, 0.2], [1.0, 0.5, 2.0], [1.5, 1.5, 2.2]
-    table = partial(DistributionTable, mean=1.0, second_moment=2.0, variance=1.0)
     sparse = scipy.sparse.csc_array
     return [
         ("AbsorbingChain.S", lambda a: AbsorbingChain(a, V, init, mask), "S", S, 2, True, False),
@@ -697,9 +696,13 @@ def _array_refusals():
          False),
         ("expm_action_grid.xs", lambda a: expm_action_grid(S, a, init), "xs", [0.5, 1.0], 1,
          True, False),
-        ("DistributionTable.grid", lambda a: table(a, pdf, cdf), "grid", grid, 1, True, True),
-        ("DistributionTable.pdf", lambda a: table(grid, a, cdf), "pdf", pdf, 1, True, False),
-        ("DistributionTable.cdf", lambda a: table(grid, pdf, a), "cdf", cdf, 1, True, True),
+        ("ph_pdf.x", lambda a: ph_pdf(chain, a), "x", [0.5, 1.0], None, True, False),
+        ("DistributionTable.grid", lambda a: DistributionTable(a, pdf, cdf), "grid", grid, 1, True,
+         True),
+        ("DistributionTable.pdf", lambda a: DistributionTable(grid, a, cdf), "pdf", pdf, 1, True,
+         False),
+        ("DistributionTable.cdf", lambda a: DistributionTable(grid, pdf, a), "cdf", cdf, 1, True,
+         True),
         ("empirical_aoi_cdf.u", lambda a: empirical_aoi_cdf(a, length, [1.0]), "u", u, 1, True,
          False),
         ("empirical_aoi_cdf.length", lambda a: empirical_aoi_cdf(u, a, [1.0]), "length", length,
@@ -736,6 +739,11 @@ def test_every_array_input_refuses_with_a_value_error_naming_it(case):
         # a ValueError whose message starts with the name; numpy's own errors fail the test
         with pytest.raises(ValueError, match=f"^{name} "):
             call(value)
+
+
+def test_an_empty_table_refuses_with_a_value_error_naming_its_grid():
+    with pytest.raises(ValueError, match="^grid must be nonempty"):
+        DistributionTable([], [], [])
 
 
 def test_dump_csv_writes_audit_files(tmp_path):

@@ -2,7 +2,6 @@
 agreement with the analytic models."""
 
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,7 +18,6 @@ from aoidual import (
     build_fp_model,
     empirical_aoi_cdf,
     empirical_paoi_cdf,
-    empirical_vs_analytic,
     fp_means,
     ks_against_table,
     ks_distance,
@@ -576,18 +574,6 @@ class TestKsMachinery:
         t2 = summarize(build_fp_model(FpParams(0.5, 0.2, 1.0, 10))).aoi_table
         assert ks_distance(t1.grid, t1.cdf, t2.grid, t2.cdf) > 0.02
 
-    def test_mismatch_warning(self):
-        p_table = FpParams(0.5, 0.2, 1.0, 2)
-        table = summarize(build_fp_model(p_table)).aoi_table
-        cfg = SimConfig(FpParams(0.5, 0.1, 1.0, 2), FP, horizon=5_000, seed=1)
-        with pytest.warns(UserWarning, match="mu2"):
-            ks = empirical_vs_analytic(cfg, table)
-        assert ks > 0.01
-        # a deterministic freeze, "k": "inf", against a finite-k table
-        cfg = SimConfig(FpParams(0.5, 0.2, 1.0, math.inf), FP, horizon=5_000, seed=1)
-        with pytest.warns(UserWarning, match="k=inf"):
-            empirical_vs_analytic(cfg, table)
-
     def test_preempt_only_table_matches_config(self):
         from aoidual import preempt_only_params
 
@@ -598,9 +584,7 @@ class TestKsMachinery:
                             replications=1)
             assert "freeze_rate" not in cfg.describe()
             assert "k" not in cfg.describe()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert empirical_vs_analytic(cfg, table) < 0.05
+            assert ks_against_table(simulate(cfg), table) < 0.05
 
     def test_preempt_only_params_under_fp_match_their_table(self):
         from aoidual import preempt_only_params
@@ -608,9 +592,7 @@ class TestKsMachinery:
         p = preempt_only_params(1, 0.3)
         table = summarize(build_fp_model(p)).aoi_table
         cfg = SimConfig(p, FP, horizon=5_000, seed=1, replications=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert empirical_vs_analytic(cfg, table) < 0.05
+        assert ks_against_table(simulate(cfg), table) < 0.05
 
     def test_simulated_agreement_smoke(self):
         p = FpParams(0.5, 0.1, 1.0, 1)
@@ -652,8 +634,7 @@ class TestKsMachinery:
                 near = np.mean([[side(x) for x in grid] for side in sides], axis=0)
                 near += rng.uniform(-0.02, 0.02, grid.size) + shift
                 cdf = np.maximum.accumulate(np.clip(near, 0.0, 1.0))
-                table = DistributionTable(grid, np.zeros(grid.size), cdf, 1.0, 2.0, 1.0,
-                                          meta={"kind": kind})
+                table = DistributionTable(grid, np.zeros(grid.size), cdf, meta={"kind": kind})
                 analytic = np.interp(xs, grid, cdf, left=0.0, right=cdf[-1])
                 # at every breakpoint, for the step cdf at both sides of every jump
                 brute = max(np.max(np.abs([side(x) for x in xs] - analytic)) for side in sides)
@@ -692,8 +673,7 @@ class TestKsMachinery:
         cdf = np.maximum.accumulate(np.clip(law + rng.normal(0.0, noise, grid.size), noise, 1.0))
         if dips:
             cdf[1::2] -= 0.99e-12
-        table = DistributionTable(grid, np.zeros(grid.size), cdf, 1.0, 2.0, 1.0,
-                                  meta={"kind": kind})
+        table = DistributionTable(grid, np.zeros(grid.size), cdf, meta={"kind": kind})
         res = SimResult(0.0, 0.0, math.nan, math.nan, np.zeros(1), np.zeros(1), n,
                         {}, {}, SampleSet(u, length, peak))
         seen, time_below = [], sim._time_below
@@ -763,8 +743,7 @@ class TestKsMachinery:
 
         table = DistributionTable(np.array([0.0, 1.0, 2.0]),
                                   np.array([0.0, 0.5, 0.25]),
-                                  np.array([0.0, 0.4, 0.8]),
-                                  mean=1.0, second_moment=1.5, variance=0.5)
+                                  np.array([0.0, 0.4, 0.8]))
         cfg = SimConfig(ZwParams(1, 1), ZW, horizon=5_000, seed=1)
         res = simulate(cfg)
         with pytest.raises(ValueError):

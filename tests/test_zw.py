@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aoidual import (
+    FpMeans,
     ZwParams,
     aoi_mean,
     build_zw_amc,
@@ -11,6 +12,7 @@ from aoidual import (
     zw_closed_form_means,
     zw_explicit_inverse,
 )
+from aoidual.zw import ZwMeans
 
 
 class TestParams:
@@ -131,6 +133,10 @@ class TestClosedFormMeans:
         assert means.mean_aoi == pytest.approx(0.82 / 0.216, rel=1e-14)
         assert means.mean_paoi == pytest.approx(3.870968, abs=1e-6)
         assert means.mean_aoi == pytest.approx(3.796296, abs=1e-6)
+
+    def test_means_tuples_share_their_order(self):
+        # unpacking either tuple by position must not swap age and peak age
+        assert ZwMeans._fields == FpMeans._fields[:2] == ("mean_aoi", "mean_paoi")
 
     def test_symmetry_under_swap(self):
         assert zw_closed_form_means(ZwParams(2.3, 0.4)) == \
