@@ -26,7 +26,6 @@ from .fp import (
     build_fp_amc,
     build_fp_model,
     build_fp_rmc,
-    fp_aoi_mask,
     fp_initial_vector,
     fp_means,
     preempt_only_params,
@@ -70,7 +69,7 @@ __all__ = [
     "expm_action_grid", "phase_type",
     "ZwParams", "build_zw_amc", "zw_closed_form_means", "zw_explicit_inverse",
     "FpMeans", "FpParams", "FpStateIndex", "RmcStateIndex", "StationarySolution",
-    "build_fp_amc", "build_fp_model", "build_fp_rmc", "fp_aoi_mask",
+    "build_fp_amc", "build_fp_model", "build_fp_rmc",
     "fp_initial_vector", "fp_means", "preempt_only_params", "rmc_stationary",
     "AoiSummary", "DistributionTable", "GridSpec", "aoi_cdf", "aoi_mean",
     "aoi_moment", "aoi_pdf", "paoi_cdf", "paoi_mean", "paoi_moment",

@@ -44,13 +44,6 @@ def write_csv(path, header, columns) -> None:
         fh.write(",".join(header) + "\n" + body)
 
 
-def write_matrix_csv(path, matrix) -> None:
-    """Dense row-major matrix dump with generic column names."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    header = [f"c{j}" for j in range(matrix.shape[1])]
-    write_csv(path, header, matrix.T)
-
-
 def _jsonable(obj):
     """``obj`` in JSON types; a dataclass is the dict of its fields but the ``NOT_JSON`` ones."""
     if isinstance(obj, (np.ndarray, np.generic)):

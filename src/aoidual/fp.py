@@ -119,7 +119,7 @@ class FpStateIndex(_StateIndex):
     (6,·), (10,·), 5, (1,·), (2,·), 9, (4,·), (8,·), 3, 7, (11,·), (13,·), (12,·), 14.
     A state leads only to the next phase or to a later family, so ``S`` is upper
     triangular and its LU factor has no fill; the ``k * freeze_rate`` phase ladders
-    appear as superdiagonal runs in matrix dumps.
+    are superdiagonal runs of ``S``.
     """
 
     def __init__(self, k: int):
@@ -134,13 +134,6 @@ class RmcStateIndex(_StateIndex):
 
     def __init__(self, k: int):
         super().__init__(k, range(1, 8), range(1, 6))
-
-
-def fp_aoi_mask(k: int) -> np.ndarray:
-    """Selector of the post-delivery states, where the cycle chain
-    overlaps the age sawtooth: families (11,·), (12,·), (13,·) and state
-    14 — ``3k + 1`` states in total."""
-    return _index(k).mask(_AGE)
 
 
 def build_fp_amc(p: FpParams) -> AbsorbingChain:

@@ -12,7 +12,7 @@ finite order the cycle chain checks it once, at the optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, exp, inf, log, sqrt
+from math import copysign, exp, inf, isfinite, log, sqrt
 from sys import float_info
 
 from . import _io
@@ -48,8 +48,7 @@ class OptResult:
         _io.write_json(path, self)
 
 
-def golden_section_min(objective, lo: float, hi: float, tol: float = 0.0,
-                       max_evals: int = MAX_EVALS):
+def golden_section_min(objective, lo: float, hi: float, tol: float):
     """Minimize a unimodal scalar function on ``[lo, hi]``.
 
     Brent's method (Brent 1973, *Algorithms for Minimization without
@@ -58,8 +57,8 @@ def golden_section_min(objective, lo: float, hi: float, tol: float = 0.0,
     the bracket and moves less than half the step before last. It stops
     once both bracket ends lie within ``2/3 tol + 2 eps |x|`` of the best
     point ``x``, ``tol`` positive: the ``eps |x|`` floor stops a tolerance
-    finer than floats resolve there, not at ``max_evals``. The name is kept for
-    the benchmark's per-layer hook, which patches it.
+    finer than floats resolve there, not at ``MAX_EVALS`` (read at each call).
+    The name is kept for the benchmark's per-layer hook, which patches it.
 
     Returns
     -------
@@ -71,8 +70,10 @@ def golden_section_min(objective, lo: float, hi: float, tol: float = 0.0,
     ------
     RuntimeError
         If the bracket fails to contract to tolerance within
-        ``max_evals`` objective evaluations.
+        ``MAX_EVALS`` objective evaluations.
     """
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ValueError(f"{'hi' if isfinite(lo) else 'lo'} must be finite: lo={lo!r}, hi={hi!r}")
     if not lo < hi:
         raise ValueError("need lo < hi")
     if not tol > 0.0:
@@ -86,9 +87,9 @@ def golden_section_min(objective, lo: float, hi: float, tol: float = 0.0,
         tol1 = tol / 3.0 + float_info.epsilon * abs(x)
         if max(x - a, b - x) <= 2.0 * tol1:
             return x, fx, evals
-        if evals >= max_evals:
+        if evals >= MAX_EVALS:
             raise RuntimeError(
-                f"golden-section search did not contract within {max_evals} evaluations")
+                f"golden-section search did not contract within {MAX_EVALS} evaluations")
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)  # the parabola through x, w, v
         p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)  # has its vertex at x - p / q
         p, q = (-p if q > 0.0 else p), abs(q)
@@ -120,14 +121,16 @@ def optimize_freeze(mu1: float, mu2: float, k: int,
 
     :func:`golden_section_min` searches ``log(rate)`` to within ``rtol``,
     a relative precision on the rate, for :func:`fp_means`'s mean age;
-    ``trace`` records each (rate, mean age) evaluated. The bracket ends
-    and ``rtol`` must be positive finite numbers. If the
+    ``trace`` records each (rate, mean age) evaluated. ``bracket`` is a
+    pair whose ends, and ``rtol``, must be positive finite numbers. If the
     minimizer lands within 5% of a bracket edge the bracket is expanded
     tenfold on that side and the search retried once; a persistent edge
     hit is reported in ``boundary_hit``. At a finite ``k``, ``aoi_at_star``
     is the cycle chain's mean age, and a RuntimeError is raised if it
     differs from the objective's by more than ``1e-12 + 2e-16 k`` relative.
     """
+    if len(bracket) != 2:
+        raise ValueError(f"bracket must be a pair (lo, hi), got {bracket!r}")
     lo, hi = _rate(bracket[0], "bracket low end"), _rate(bracket[1], "bracket high end")
     if not log(lo) < log(hi):  # implies lo < hi; the search runs on the logs
         raise ValueError("bracket must satisfy lo < hi with log(lo) < log(hi)")

@@ -240,26 +240,6 @@ class AbsorbingChain:
         """Return ``v S^{-1}``."""
         return self._lu.solve(v, trans="T")
 
-    def dump_csv(self, directory) -> list:
-        """Write S, V, init and aoi_mask as dense CSV files for auditing."""
-        from . import _io
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        written = []
-        for name, arr in [("S", self.S), ("V", self.V)]:
-            path = os.path.join(directory, f"{name}.csv")
-            _io.write_matrix_csv(path, arr)
-            written.append(path)
-        vectors = [("aoi_mask", self.aoi_mask)]
-        if self.init is not None:
-            vectors.append(("init", self.init))
-        for name, vec in vectors:
-            path = os.path.join(directory, f"{name}.csv")
-            _io.write_matrix_csv(path, vec.reshape(1, -1))
-            written.append(path)
-        return written
-
 
 #: Absorbing columns 0 and 1 of a policy's cycle chain.
 _OK, _LOST = "success", "failure"
@@ -269,7 +249,7 @@ _MOVE = np.dtype([("src", np.intp), ("dst", np.intp), ("same", bool), ("rate", f
 
 
 class _StateIndex:
-    """Bijection between symbolic chain states and indices.
+    """Map from symbolic chain states to indices.
 
     ``families`` are laid out in the order given; those in ``phased``
     carry a freeze phase and take a contiguous block of ``k`` indices
@@ -295,20 +275,6 @@ class _StateIndex:
         elif state in self.first and state not in self.phased:
             return self.first[state]
         raise KeyError(state)
-
-    def state(self, index: int):
-        if not 0 <= index < self.size:
-            raise KeyError(index)
-        return self.states()[index]
-
-    def states(self):
-        return [(fam, ell) if fam in self.phased else fam for fam in self.first
-                for ell in range(1, (self.k if fam in self.phased else 1) + 1)]
-
-    def as_dict(self) -> dict:
-        """JSON-friendly map from symbolic labels to dense indices."""
-        return {f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s): idx
-                for idx, s in enumerate(self.states())}
 
     def entry(self, weights: Mapping) -> np.ndarray:
         """``weights``, ``family: weight``, normalized in order, on each family's first state."""

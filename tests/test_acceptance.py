@@ -13,9 +13,9 @@ from aoidual import (
     SimConfig,
     ZwParams,
     aoi_mean,
+    build_fp_amc,
     build_fp_model,
     build_zw_amc,
-    fp_aoi_mask,
     fp_initial_vector,
     ks_against_table,
     ks_distance,
@@ -175,7 +175,8 @@ def test_criterion_10_property_suite():
         checks.append(abs(fp_initial_vector(p).sum() - 1.0) <= 1e-12)
 
     # mask cardinality 3k + 1
-    checks.extend(fp_aoi_mask(k).sum() == 3 * k + 1 for k in (1, 5, 20))
+    checks.extend(build_fp_amc(FpParams(0.7, 0.2, 1.5, k)).aoi_mask.sum() == 3 * k + 1
+                  for k in (1, 5, 20))
 
     # generator rows sum to zero
     p = FpParams(0.7, 0.2, 1.5, 6)

@@ -434,12 +434,9 @@ class TestOptimize:
         assert "cycle chain" in capsys.readouterr().err
 
     def test_numerical_failure_exits_one(self, tmp_path, monkeypatch, capsys):
-        import functools
-
         import aoidual.optimize as optimize_module
 
-        monkeypatch.setattr(optimize_module, "golden_section_min",
-                            functools.partial(optimize_module.golden_section_min, max_evals=5))
+        monkeypatch.setattr(optimize_module, "MAX_EVALS", 5)
         assert run(["optimize", "--mu1", "1", "--mu2", "1", "--k", "1",
                     "--out", str(tmp_path / "x")]) == 1
         assert "did not contract" in capsys.readouterr().err

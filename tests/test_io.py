@@ -76,13 +76,6 @@ def test_table_csv_matches_the_rowwise_writer(tmp_path):
         assert same_bytes(tmp_path / "table.csv", tmp_path / "rows.csv")
 
 
-def test_matrix_csv_matches_the_rowwise_writer(tmp_path):
-    matrix = np.array([SPECIAL[:6], SPECIAL[6:]])
-    _io.write_matrix_csv(tmp_path / "matrix.csv", matrix)
-    rowwise_csv(tmp_path / "rows.csv", ["c0", "c1", "c2", "c3", "c4", "c5"], matrix)
-    assert same_bytes(tmp_path / "matrix.csv", tmp_path / "rows.csv")
-
-
 def test_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         _io.write_csv(tmp_path / "bad.csv", ["x", "y"], [np.zeros(3), np.zeros(2)])

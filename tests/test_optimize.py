@@ -37,14 +37,23 @@ class TestGoldenSection:
         b = golden_section_min(lambda x: (x - 1.3) ** 4, 0.0, 3.0, tol=1e-7)
         assert a == b
 
-    def test_evaluation_cap_signalled(self):
-        with pytest.raises(RuntimeError):
-            golden_section_min(lambda x: x * x, 0.0, 1.0, tol=1e-9,
-                               max_evals=10)
+    def test_evaluation_cap_signalled(self, monkeypatch):
+        import aoidual.optimize as optimize_module
+
+        monkeypatch.setattr(optimize_module, "MAX_EVALS", 10)  # read at each call
+        with pytest.raises(RuntimeError, match="within 10 evaluations"):
+            golden_section_min(lambda x: x * x, 0.0, 1.0, tol=1e-9)
 
     def test_needs_tolerance(self):
         with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 0.0, 1.0)
+            golden_section_min(lambda x: x, 0.0, 1.0, tol=0.0)
+
+    @pytest.mark.parametrize("lo,hi,name", [
+        (0.0, math.inf, "hi"), (-math.inf, 1.0, "lo"), (math.nan, 1.0, "lo"),
+    ])
+    def test_bounds_must_be_finite(self, lo, hi, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            golden_section_min(lambda x: x * x, lo, hi, tol=1e-6)
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
@@ -86,6 +95,11 @@ class TestOptimizeFreeze:
     def test_bracket_and_rtol_are_positive_finite_numbers(self, bracket, rtol, name):
         with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
             optimize_freeze(1.0, 1.0, 1, bracket=bracket, rtol=rtol)
+
+    @pytest.mark.parametrize("bracket", [(0.1,), (0.1, 1.0, 5.0)])
+    def test_bracket_must_be_a_pair(self, bracket):
+        with pytest.raises(ValueError, match="^bracket must be a pair"):
+            optimize_freeze(1.0, 1.0, 1, bracket=bracket)
 
     def test_bracket_and_rtol_keep_their_order_rules(self):
         with pytest.raises(ValueError, match="lo < hi"):

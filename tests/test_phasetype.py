@@ -744,12 +744,3 @@ def test_every_array_input_refuses_with_a_value_error_naming_it(case):
 def test_an_empty_table_refuses_with_a_value_error_naming_its_grid():
     with pytest.raises(ValueError, match="^grid must be nonempty"):
         DistributionTable([], [], [])
-
-
-def test_dump_csv_writes_audit_files(tmp_path):
-    chain = build_zw_amc(ZwParams(0.5, 0.1))
-    written = chain.dump_csv(tmp_path / "dump")
-    assert len(written) == 4
-    text = (tmp_path / "dump" / "S.csv").read_text().splitlines()
-    assert text[0].startswith("c0,")
-    assert len(text) == 8  # header + 7 rows
